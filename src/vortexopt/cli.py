@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "one draw shared across coordinates")
     run_p.add_argument("--target-fitness", type=float,
                        help="stop a run early once the best reaches this value")
-    run_p.add_argument("--jobs", type=int, help="parallel runs (default: CPU count)")
+    run_p.add_argument("--jobs", type=int, help="parallel runs (default: usable CPUs)")
     run_p.add_argument("--out", help="output directory (default: results)")
     run_p.add_argument("--trace-dir", help="also write per-run convergence traces here")
     run_p.add_argument("--config", help="settings file merged below CLI flags")

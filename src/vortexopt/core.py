@@ -7,6 +7,7 @@ every stochastic operation draws from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -29,6 +30,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _UNIT_SCALE = 1.0 / (1 << 53)
+# Draws generated per refill of a RandomSource block (more if one request is larger).
+_BLOCK_DRAWS = 4096
 
 
 class ParticleStatus(Enum):
@@ -72,27 +75,42 @@ class RandomSource:
     function of ``(seed, draw index)``, sequences are identical across
     platforms and library versions, and batch generation consumes exactly the
     same stream as repeated single draws.
+
+    Draws are generated ahead in blocks of ``_BLOCK_DRAWS`` (or of the
+    request, when it is larger) and served in order; a request that does not
+    fit in the rest of the block starts a new block at the next unconsumed
+    index. Every block is a new array, so an array already returned never
+    changes.
     """
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        self._seed = int(seed) & _MASK64
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {seed}")
+        self._seed = int(seed)
         self._count = 0
+        self._block = np.empty(0, dtype=np.float64)
+        self._pos = 0
 
-    def uniform_unit_batch(self, n: int) -> np.ndarray:
-        """Return the next ``n`` uniform draws in [0, 1) as a float64 array."""
-        if n < 0:
-            raise ValueError(f"batch size must be non-negative, got {n}")
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
-        self._count += n
+    def _generate(self, size: int) -> np.ndarray:
+        """Draws ``self._count + 1`` to ``self._count + size`` of the stream."""
+        idx = np.arange(self._count + 1, self._count + size + 1, dtype=np.uint64)
         z = np.uint64(self._seed) + idx * np.uint64(_GAMMA)
         z = (z ^ (z >> np.uint64(30))) * _MIX1
         z = (z ^ (z >> np.uint64(27))) * _MIX2
         z = z ^ (z >> np.uint64(31))
         return (z >> np.uint64(11)).astype(np.float64) * _UNIT_SCALE
+
+    def uniform_unit_batch(self, n: int) -> np.ndarray:
+        """Return the next ``n`` uniform draws in [0, 1) as a float64 array."""
+        if n < 0:
+            raise ValueError(f"batch size must be non-negative, got {n}")
+        start = self._pos
+        if start + n > self._block.shape[0]:
+            self._block = self._generate(max(_BLOCK_DRAWS, n))
+            start = 0
+        self._pos = start + n
+        self._count += n
+        return self._block[start:start + n]
 
     def uniform_unit(self) -> float:
         """Return the next uniform draw in [0, 1)."""
@@ -112,7 +130,7 @@ class RandomSource:
         """
         lower = np.asarray(lower, dtype=np.float64)
         upper = np.asarray(upper, dtype=np.float64)
-        if np.any(lower >= upper):
+        if (lower >= upper).any():
             raise ValueError("invalid box: every lower bound must be < its upper bound")
         d = lower.shape[0]
         u = self.uniform_unit_batch(count * d).reshape(count, d)
@@ -142,6 +160,11 @@ class VoaConfig:
     randomness: one independent draw per coordinate (default), or a single
     draw shared by all coordinates of a particle, which restricts each move to
     the line through the global best.
+
+    ``initial_vorticity`` may lie outside ``[min_vorticity, max_vorticity]``:
+    the one-time kick clamps the initial best particle's value, and the first
+    vorticity pull a particle goes through (respawned particles included)
+    clamps its value.
     """
 
     n_particles: int = 50
@@ -158,6 +181,9 @@ class VoaConfig:
     def __post_init__(self):
         if self.min_vorticity is None:
             object.__setattr__(self, "min_vorticity", -float(self.max_vorticity))
+        for name in ("initial_vorticity", "max_vorticity", "min_vorticity", "pull_epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_particles < 2:
             raise ValueError(f"n_particles must be >= 2, got {self.n_particles}")
         if self.max_iterations < 0:
@@ -172,8 +198,8 @@ class VoaConfig:
                 "elimination_threshold must lie in [0, n_particles], got "
                 f"{self.elimination_threshold} with n_particles={self.n_particles}"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed must lie in [0, 2**64 - 1], got {self.seed}")
         if not self.pull_epsilon > 0.0:
             raise ValueError(f"pull_epsilon must be > 0, got {self.pull_epsilon}")
 
@@ -209,6 +235,10 @@ class Objective:
         for i, (lo, hi) in enumerate(bounds):
             if not lo < hi:
                 raise ValueError(f"bounds[{i}]: lower {lo} must be < upper {hi}")
+        for attr, column in (("_lower", 0), ("_upper", 1)):
+            limits = np.array([b[column] for b in bounds], dtype=np.float64)
+            limits.flags.writeable = False
+            object.__setattr__(self, attr, limits)
         if self.known_minimizer is not None:
             minimizer = np.asarray(self.known_minimizer, dtype=np.float64)
             object.__setattr__(self, "known_minimizer", minimizer)
@@ -230,17 +260,26 @@ class Objective:
 
     @property
     def lower(self) -> np.ndarray:
-        return np.array([b[0] for b in self.bounds], dtype=np.float64)
+        """Read-only array of the lower bounds, one per dimension."""
+        return self._lower
 
     @property
     def upper(self) -> np.ndarray:
-        return np.array([b[1] for b in self.bounds], dtype=np.float64)
+        """Read-only array of the upper bounds, one per dimension."""
+        return self._upper
 
     def evaluate_rows(self, positions: np.ndarray) -> np.ndarray:
         """Evaluate a (k, dimension) stack of positions, one fitness per row."""
         positions = np.asarray(positions, dtype=np.float64)
         if self.evaluate_batch is not None:
-            return np.asarray(self.evaluate_batch(positions), dtype=np.float64)
+            values = np.asarray(self.evaluate_batch(positions), dtype=np.float64)
+            if values.shape != positions.shape[:1]:
+                raise ValueError(
+                    f"objective {self.name!r}: evaluate_batch returned shape "
+                    f"{values.shape} for positions of shape {positions.shape}, "
+                    f"expected {positions.shape[:1]}"
+                )
+            return values
         return np.array([self.evaluate(row) for row in positions], dtype=np.float64)
 
 
@@ -253,6 +292,8 @@ class SwarmState:
     best-so-far record; ``best_index`` is the particle that holds it.
     Fitness values are stored with non-finite evaluations replaced by ``+inf``
     so every comparison (marking, record updates) is well defined.
+    ``mean_fitness`` is the population mean that the latest marking pass
+    computed (NaN before the first one).
     """
 
     positions: np.ndarray
@@ -265,6 +306,7 @@ class SwarmState:
     best_index: int
     iteration: int = 0
     evaluations: int = 0
+    mean_fitness: float = math.nan
 
     @property
     def n_particles(self) -> int:

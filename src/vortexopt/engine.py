@@ -121,7 +121,7 @@ def vorticity_pull(v, best_v, r, epsilon, v_min, v_max):
     """
     v = np.asarray(v, dtype=np.float64)
     guarded = np.where(np.abs(v) >= epsilon, v, np.where(v >= 0.0, epsilon, -epsilon))
-    out = np.clip(v + r * (best_v / guarded), v_min, v_max)
+    out = (v + r * (best_v / guarded)).clip(v_min, v_max)
     return out if out.ndim else float(out)
 
 
@@ -153,8 +153,7 @@ def move_toward_best(positions, vorticity, best_position, r, lower, upper):
         factor = r * v[:, None]
     else:
         factor = np.atleast_1d(r * v)[:, None]
-    moved = pos + factor * (best[None, :] - pos)
-    moved = np.clip(moved, lower, upper)
+    moved = (pos + factor * (best[None, :] - pos)).clip(lower, upper)
     return moved[0] if single else moved
 
 
@@ -175,7 +174,7 @@ def initialize_swarm(config: VoaConfig, objective: Objective, rng: RandomSource)
     positions = rng.uniform_box(lower, upper, n)
     fitness = _sanitize(objective.evaluate_rows(positions))
     vorticity = np.full(n, config.initial_vorticity, dtype=np.float64)
-    best_index = int(np.argmin(fitness))
+    best_index = int(fitness.argmin())
     r = rng.uniform_unit()
     vorticity[best_index] = float(
         vorticity_kick(vorticity[best_index], r, config.min_vorticity, config.max_vorticity)
@@ -200,9 +199,12 @@ def mark_vortices(state: SwarmState) -> SwarmState:
     """Classify particles: fitness at or below the population mean is a vortex.
 
     The best-so-far holder keeps vortex status regardless of the mean test.
+    The mean is kept in ``state.mean_fitness``.
     """
-    mean = state.fitness.mean()
-    state.is_vortex = state.fitness <= mean
+    fitness = state.fitness
+    # np.add.reduce / n is the sum and division that ndarray.mean performs.
+    state.mean_fitness = np.add.reduce(fitness) / fitness.shape[0]
+    state.is_vortex = fitness <= state.mean_fitness
     state.is_vortex[state.best_index] = True
     return state
 
@@ -218,7 +220,7 @@ def refresh_fitness_and_best(state: SwarmState, objective: Objective) -> int:
     state.evaluations += state.n_particles
     non_finite = int(np.count_nonzero(~np.isfinite(raw)))
     state.fitness = _sanitize(raw)
-    it_best = int(np.argmin(state.fitness))
+    it_best = int(state.fitness.argmin())
     state.is_vortex[it_best] = True
     if state.fitness[it_best] < state.best_fitness:
         state.best_fitness = float(state.fitness[it_best])
@@ -239,7 +241,7 @@ def eliminate_and_respawn(state: SwarmState, config: VoaConfig, objective: Objec
     population size never changes. Returns whether the cull triggered.
     """
     normal = ~state.is_vortex
-    count = int(normal.sum())
+    count = int(np.count_nonzero(normal))
     if count > config.elimination_threshold:
         return False
     if count:
@@ -267,14 +269,13 @@ def advance_iteration(state: SwarmState, config: VoaConfig, objective: Objective
     # Decay for vortex particles other than the record holder.
     decaying = state.is_vortex.copy()
     decaying[state.best_index] = False
-    k = int(decaying.sum())
+    k = int(np.count_nonzero(decaying))
     if k:
         r = rng.uniform_unit_batch(k)
         state.vorticity[decaying] = vorticity_decay(state.vorticity[decaying], r)
 
     # Move everyone but the record holder toward the recorded best position.
-    moving = np.ones(n, dtype=bool)
-    moving[state.best_index] = False
+    moving = np.arange(n) != state.best_index
     m = n - 1
     if config.per_coordinate_draws:
         r = rng.uniform_unit_batch(m * objective.dimension).reshape(m, objective.dimension)
@@ -304,7 +305,6 @@ def run(config: VoaConfig, objective: Objective) -> RunReport:
     state = initialize_swarm(config, objective, rng)
 
     steps = config.max_iterations
-    trace_iter = np.zeros(steps + 1, dtype=np.int64)
     trace_best = np.zeros(steps + 1, dtype=np.float64)
     trace_mean = np.zeros(steps + 1, dtype=np.float64)
     trace_vortex = np.zeros(steps + 1, dtype=np.int64)
@@ -312,26 +312,26 @@ def run(config: VoaConfig, objective: Objective) -> RunReport:
     trace_nonfin = np.zeros(steps + 1, dtype=np.int64)
 
     trace_best[0] = state.best_fitness
-    trace_mean[0] = state.fitness.mean()
-    trace_vortex[0] = int(state.is_vortex.sum())
+    trace_vortex[0] = np.count_nonzero(state.is_vortex)
     trace_nonfin[0] = int(np.count_nonzero(np.isinf(state.fitness)))
 
     executed = 0
     for k in range(1, steps + 1):
         eliminated, non_finite = advance_iteration(state, config, objective, rng)
         executed = k
-        trace_iter[k] = k
+        # Marking in iteration k averaged the fitness that iteration k - 1 left.
+        trace_mean[k - 1] = state.mean_fitness
         trace_best[k] = state.best_fitness
-        trace_mean[k] = state.fitness.mean()
-        trace_vortex[k] = int(state.is_vortex.sum())
+        trace_vortex[k] = np.count_nonzero(state.is_vortex)
         trace_elim[k] = eliminated
         trace_nonfin[k] = non_finite
         if config.target_fitness is not None and state.best_fitness <= config.target_fitness:
             break
+    trace_mean[executed] = state.fitness.mean()
 
     end = executed + 1
     trace = RunTrace(
-        iteration=trace_iter[:end],
+        iteration=np.arange(end),
         best_fitness_so_far=trace_best[:end],
         mean_fitness=trace_mean[:end],
         vortex_count=trace_vortex[:end],

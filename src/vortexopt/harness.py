@@ -182,13 +182,21 @@ def _run_cell(task) -> RunReport:
         )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set), else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def execute_plan(plan: ExperimentPlan, jobs=None, progress=None) -> list:
     """Run every (function, dimension, seed) cell of the plan.
 
-    Runs execute concurrently across processes when ``jobs`` exceeds one; each
-    run owns its full state and random stream, so results and their order do
-    not depend on scheduling. ``progress`` is called with each finished report
-    in plan order.
+    Runs execute concurrently across processes when ``jobs`` exceeds one
+    (default: the usable CPU count); each run owns its full state and random
+    stream, so results and their order do not depend on scheduling.
+    ``progress`` is called with each finished report in plan order.
     """
     tasks = [
         (name, dim, replace(plan.config, seed=seed))
@@ -196,7 +204,7 @@ def execute_plan(plan: ExperimentPlan, jobs=None, progress=None) -> list:
         for seed in plan.seeds
     ]
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = _usable_cpus()
     reports = []
     if jobs <= 1 or len(tasks) <= 1:
         for task in tasks:

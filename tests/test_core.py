@@ -4,7 +4,7 @@ import pytest
 from helpers import FixedRng
 from oracles import splitmix64_units
 from vortexopt import Objective, VoaConfig, uniform_in, uniform_unit
-from vortexopt.core import RandomSource
+from vortexopt.core import _BLOCK_DRAWS, RandomSource
 
 
 class TestRandomSource:
@@ -34,6 +34,25 @@ class TestRandomSource:
         rng = RandomSource(seed)
         np.testing.assert_array_equal(rng.uniform_unit_batch(64), splitmix64_units(seed, 64))
 
+    @pytest.mark.parametrize("sizes", [
+        (0, 1, _BLOCK_DRAWS - 1, _BLOCK_DRAWS, _BLOCK_DRAWS + 904, 3),
+        (_BLOCK_DRAWS - 1, 2, 0, _BLOCK_DRAWS),
+        (1, 2 * _BLOCK_DRAWS + 1, 1),
+        (_BLOCK_DRAWS, _BLOCK_DRAWS, 1),
+    ])
+    def test_mixed_batches_across_blocks_match_reference(self, sizes):
+        rng = RandomSource(2**63 + 5)
+        draws = np.concatenate([rng.uniform_unit_batch(n) for n in sizes])
+        np.testing.assert_array_equal(draws, splitmix64_units(2**63 + 5, sum(sizes)))
+
+    def test_returned_draws_unchanged_by_later_draws(self):
+        rng = RandomSource(9)
+        first = rng.uniform_unit_batch(10)
+        kept = first.copy()
+        for n in (_BLOCK_DRAWS - 10, 1, 2 * _BLOCK_DRAWS, 5):
+            rng.uniform_unit_batch(n)
+        np.testing.assert_array_equal(first, kept)
+
     def test_empirical_mean_is_uniform(self):
         draws = RandomSource(42).uniform_unit_batch(1_000_000)
         assert 0.495 <= draws.mean() <= 0.505
@@ -41,6 +60,11 @@ class TestRandomSource:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             RandomSource(-1)
+
+    @pytest.mark.parametrize("seed", [2**64, 5 + 2**64])
+    def test_seed_beyond_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError):
+            RandomSource(seed)
 
     def test_uniform_box_stays_inside(self):
         rng = RandomSource(3)
@@ -103,10 +127,19 @@ class TestVoaConfig:
         {"pull_epsilon": 0.0},
         {"pull_epsilon": -1e-9},
         {"seed": -3},
+        {"seed": 2**64},
+        {"initial_vorticity": float("nan")},
+        {"initial_vorticity": float("inf")},
+        {"max_vorticity": float("inf")},
+        {"min_vorticity": float("-inf")},
+        {"pull_epsilon": float("inf")},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             VoaConfig(**kwargs)
+
+    def test_initial_vorticity_outside_clamp_accepted(self):
+        assert VoaConfig(initial_vorticity=100.0).initial_vorticity == 100.0
 
     def test_zero_iterations_allowed(self):
         assert VoaConfig(max_iterations=0).max_iterations == 0
@@ -155,3 +188,29 @@ class TestObjective:
         obj = self._quadratic()
         rows = np.array([[0.5, 0.5], [1.0, -2.0]])
         np.testing.assert_array_equal(obj.evaluate_rows(rows), [0.5, 5.0])
+
+    def test_bounds_arrays_fixed_and_read_only(self):
+        obj = self._quadratic()
+        lower, upper = obj.lower, obj.upper
+        for _ in range(3):
+            np.testing.assert_array_equal(obj.lower, [-1.0, -2.0])
+            np.testing.assert_array_equal(obj.upper, [1.0, 2.0])
+        assert obj.lower is lower and obj.upper is upper
+        with pytest.raises(ValueError):
+            obj.lower[0] = 0.0
+        with pytest.raises(ValueError):
+            obj.upper[1] = 0.0
+
+    @pytest.mark.parametrize("batch", [
+        lambda X: float(X.sum()),
+        lambda X: X.sum(axis=1, keepdims=True),
+        lambda X: np.zeros(X.shape[0] + 1),
+        lambda X: X,
+    ], ids=["scalar", "column", "extra_row", "matrix"])
+    def test_evaluate_batch_shape_checked(self, batch):
+        obj = Objective(
+            name="misshapen", dimension=2, bounds=((-1.0, 1.0),) * 2,
+            evaluate=lambda p: float(p.sum()), evaluate_batch=batch,
+        )
+        with pytest.raises(ValueError, match=r"'misshapen'.*\(3,\)"):
+            obj.evaluate_rows(np.zeros((3, 2)))

@@ -6,6 +6,7 @@ from vortexopt import (
     ParticleStatus,
     SwarmState,
     VoaConfig,
+    advance_iteration,
     eliminate_and_respawn,
     get_objective,
     initialize_swarm,
@@ -102,6 +103,11 @@ class TestMarkVortices:
         state = make_state(np.zeros((3, 1)), [0.0, 0.0, 300.0], best_index=0)
         mark_vortices(state)
         assert list(state.is_vortex) == [True, True, False]
+
+    def test_mean_kept_on_state(self):
+        state = make_state(np.zeros((3, 1)), [1.0, 2.0, 6.0], best_index=0)
+        mark_vortices(state)
+        assert state.mean_fitness == 3.0
 
     def test_record_holder_forced_vortex(self):
         # holder sits above the mean but keeps vortex status anyway
@@ -265,6 +271,33 @@ class TestRun:
         assert report.iterations < 5000
         assert report.best_fitness <= 1e-3
         assert len(report.trace) == report.iterations + 1
+
+    @pytest.mark.parametrize("config", [
+        VoaConfig(max_iterations=40, seed=3),
+        VoaConfig(max_iterations=5000, seed=3, target_fitness=1e-3),
+    ])
+    def test_trace_mean_is_population_mean_after_each_iteration(self, config):
+        objective = get_objective("sphere", 2)
+        report = run(config, objective)
+        rng = RandomSource(config.seed)
+        state = initialize_swarm(config, objective, rng)
+        means = [state.fitness.mean()]
+        for _ in range(report.iterations):
+            advance_iteration(state, config, objective, rng)
+            means.append(state.fitness.mean())
+        np.testing.assert_array_equal(report.trace.mean_fitness, means)
+
+    def test_initial_vorticity_outside_clamp_clamped_by_kick_and_pull(self):
+        objective = get_objective("sphere", 2)
+        config = VoaConfig(initial_vorticity=100.0, seed=2)
+        rng = RandomSource(config.seed)
+        state = initialize_swarm(config, objective, rng)
+        assert state.best_vorticity == config.max_vorticity
+        advance_iteration(state, config, objective, rng)
+        # Vortices went through the pull; respawned normals hold the initial value
+        # until the next iteration's pull.
+        assert np.all(np.abs(state.vorticity[state.is_vortex]) <= config.max_vorticity)
+        assert np.all(state.vorticity[~state.is_vortex] == 100.0)
 
     def test_shared_draw_mode_runs_and_differs(self):
         objective = get_objective("sphere", 2)

@@ -140,6 +140,22 @@ class TestExecutePlan:
         assert all(np.isnan(r.best_fitness) for r in booth_reports)
         assert all(r.error is None for r in beale_reports)
 
+    def test_default_jobs_follow_usable_cpus(self, tmp_path, monkeypatch):
+        # One usable CPU on an eight-CPU machine: the default must stay serial.
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started for one usable CPU")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        assert len(execute_plan(small_plan(tmp_path))) == 6
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        assert harness._usable_cpus() == 3
+
     def test_progress_callback_sees_every_report(self, tmp_path):
         plan = small_plan(tmp_path)
         seen = []

@@ -100,6 +100,7 @@ class TestRuleProperties:
         )
         mark_vortices(state)
         mean = state.fitness.mean()
+        assert state.mean_fitness == mean
         for i in range(n):
             expected = fitness[i] <= mean or i == best
             assert state.is_vortex[i] == expected
