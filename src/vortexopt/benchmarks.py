@@ -124,6 +124,16 @@ class BenchmarkSpec:
             return dimension == self.fixed_dimension
         return dimension >= self.min_dimension
 
+    def check_dimension(self, dimension: int) -> None:
+        """Raise ValueError, naming what is supported, unless ``supports``."""
+        if self.supports(dimension):
+            return
+        if self.fixed_dimension is not None:
+            detail = f"only dimension {self.fixed_dimension}"
+        else:
+            detail = f"any dimension >= {self.min_dimension}"
+        raise ValueError(f"benchmark {self.name!r} supports {detail}, got {dimension}")
+
     def bounds(self, dimension: int) -> tuple:
         if len(self.bounds_per_dim) == dimension:
             return self.bounds_per_dim
@@ -144,7 +154,7 @@ def _pair_eval(fn):
 
 
 def _pair_batch(fn):
-    return lambda X: fn(X[:, 0], X[:, 1])
+    return lambda X: fn(X[..., 0], X[..., 1])
 
 
 def _vector_eval(fn):
@@ -233,12 +243,7 @@ def get_objective(name: str, dimension: int) -> Objective:
     support (the five fixed problems exist only at dimension 2).
     """
     spec = get_spec(name)
-    if not spec.supports(dimension):
-        if spec.fixed_dimension is not None:
-            detail = f"only dimension {spec.fixed_dimension}"
-        else:
-            detail = f"any dimension >= {spec.min_dimension}"
-        raise ValueError(f"benchmark {name!r} supports {detail}, got {dimension}")
+    spec.check_dimension(dimension)
     if name in _PAIR_FUNCTIONS:
         fn = _PAIR_FUNCTIONS[name]
         evaluate = _pair_eval(fn)

@@ -8,6 +8,7 @@ every stochastic operation draws from.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -132,6 +133,12 @@ class RandomSource:
         upper = np.asarray(upper, dtype=np.float64)
         if (lower >= upper).any():
             raise ValueError("invalid box: every lower bound must be < its upper bound")
+        return self._box_points(lower, upper, count)
+
+    def _box_points(self, lower: np.ndarray, upper: np.ndarray, count: int) -> np.ndarray:
+        """``uniform_box`` without its checks: the bounds must already be
+        float64 arrays with every lower bound below its upper bound, as
+        ``Objective.lower``/``upper`` are."""
         d = lower.shape[0]
         u = self.uniform_unit_batch(count * d).reshape(count, d)
         return lower + u * (upper - lower)
@@ -161,6 +168,10 @@ class VoaConfig:
     draw shared by all coordinates of a particle, which restricts each move to
     the line through the global best.
 
+    ``seed``, ``n_particles``, ``max_iterations`` and ``elimination_threshold``
+    must be integers (Python or numpy, stored as ``int``); floats, strings and
+    bools are rejected.
+
     ``initial_vorticity`` may lie outside ``[min_vorticity, max_vorticity]``:
     the one-time kick clamps the initial best particle's value, and the first
     vorticity pull a particle goes through (respawned particles included)
@@ -179,6 +190,11 @@ class VoaConfig:
     target_fitness: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("n_particles", "max_iterations", "elimination_threshold", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.min_vorticity is None:
             object.__setattr__(self, "min_vorticity", -float(self.max_vorticity))
         for name in ("initial_vorticity", "max_vorticity", "min_vorticity", "pull_epsilon"):

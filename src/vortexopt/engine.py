@@ -15,7 +15,10 @@ ordered stages:
 
 Randomness is consumed in a fixed order (stage by stage, particle index
 ascending, coordinate index ascending within a particle), so a run is a pure
-function of (config, objective, seed).
+function of (config, objective, seed). ``advance_iteration`` takes the pull,
+decay and move draws of an iteration in one batch and slices it, since their
+counts are known once marking is done; the respawn draws come from a second
+call. The stream layout is the same as with one call per stage.
 """
 
 from __future__ import annotations
@@ -120,7 +123,11 @@ def vorticity_pull(v, best_v, r, epsilon, v_min, v_max):
     [v_min, v_max]. Accepts scalars or arrays.
     """
     v = np.asarray(v, dtype=np.float64)
-    guarded = np.where(np.abs(v) >= epsilon, v, np.where(v >= 0.0, epsilon, -epsilon))
+    size = np.abs(v)
+    guarded = v
+    # min() is NaN when v holds a NaN, which also takes the guarded branch.
+    if not size.min() >= epsilon:
+        guarded = np.where(size >= epsilon, v, np.where(v >= 0.0, epsilon, -epsilon))
     out = (v + r * (best_v / guarded)).clip(v_min, v_max)
     return out if out.ndim else float(out)
 
@@ -170,8 +177,7 @@ def initialize_swarm(config: VoaConfig, objective: Objective, rng: RandomSource)
     vortex, and its values become the best-so-far record.
     """
     n = config.n_particles
-    lower, upper = objective.lower, objective.upper
-    positions = rng.uniform_box(lower, upper, n)
+    positions = rng._box_points(objective.lower, objective.upper, n)
     fitness = _sanitize(objective.evaluate_rows(positions))
     vorticity = np.full(n, config.initial_vorticity, dtype=np.float64)
     best_index = int(fitness.argmin())
@@ -217,9 +223,10 @@ def refresh_fitness_and_best(state: SwarmState, objective: Objective) -> int:
     fitness values are stored as +inf; their count is returned for the trace.
     """
     raw = objective.evaluate_rows(state.positions)
-    state.evaluations += state.n_particles
-    non_finite = int(np.count_nonzero(~np.isfinite(raw)))
-    state.fitness = _sanitize(raw)
+    n = state.n_particles
+    state.evaluations += n
+    finite = np.isfinite(raw)
+    state.fitness = np.where(finite, raw, np.inf)
     it_best = int(state.fitness.argmin())
     state.is_vortex[it_best] = True
     if state.fitness[it_best] < state.best_fitness:
@@ -227,7 +234,7 @@ def refresh_fitness_and_best(state: SwarmState, objective: Objective) -> int:
         state.best_position = state.positions[it_best].copy()
         state.best_vorticity = float(state.vorticity[it_best])
         state.best_index = it_best
-    return non_finite
+    return n - int(np.count_nonzero(finite))
 
 
 def eliminate_and_respawn(state: SwarmState, config: VoaConfig, objective: Objective,
@@ -240,12 +247,12 @@ def eliminate_and_respawn(state: SwarmState, config: VoaConfig, objective: Objec
     Vortex particles, including the record holder, are untouched and the
     population size never changes. Returns whether the cull triggered.
     """
-    normal = ~state.is_vortex
-    count = int(np.count_nonzero(normal))
+    count = state.n_particles - int(np.count_nonzero(state.is_vortex))
     if count > config.elimination_threshold:
         return False
     if count:
-        fresh = rng.uniform_box(objective.lower, objective.upper, count)
+        normal = (~state.is_vortex).nonzero()[0]
+        fresh = rng._box_points(objective.lower, objective.upper, count)
         state.positions[normal] = fresh
         state.vorticity[normal] = config.initial_vorticity
         state.fitness[normal] = _sanitize(objective.evaluate_rows(fresh))
@@ -258,33 +265,36 @@ def advance_iteration(state: SwarmState, config: VoaConfig, objective: Objective
     """Run one full iteration in stage order; returns (eliminated, non_finite)."""
     n = state.n_particles
     mark_vortices(state)
+    holder = state.best_index
+
+    # The pull, decay and move draws are consecutive in the stream and their
+    # counts are known once marking is done, so they come from one call.
+    # Marking keeps the record holder a vortex, and the holder does not decay.
+    k = int(np.count_nonzero(state.is_vortex)) - 1
+    m = objective.dimension if config.per_coordinate_draws else 1
+    draws = rng.uniform_unit_batch(n + k + (n - 1) * m)
 
     # Vorticity pull toward the record, every particle including the holder.
-    r = rng.uniform_unit_batch(n)
-    state.vorticity = np.asarray(
-        vorticity_pull(state.vorticity, state.best_vorticity, r,
-                       config.pull_epsilon, config.min_vorticity, config.max_vorticity)
-    )
+    state.vorticity = vorticity_pull(state.vorticity, state.best_vorticity, draws[:n],
+                                     config.pull_epsilon, config.min_vorticity,
+                                     config.max_vorticity)
 
     # Decay for vortex particles other than the record holder.
-    decaying = state.is_vortex.copy()
-    decaying[state.best_index] = False
-    k = int(np.count_nonzero(decaying))
     if k:
-        r = rng.uniform_unit_batch(k)
-        state.vorticity[decaying] = vorticity_decay(state.vorticity[decaying], r)
+        decaying = state.is_vortex.copy()
+        decaying[holder] = False
+        state.vorticity[decaying] = vorticity_decay(state.vorticity[decaying],
+                                                    draws[n:n + k])
 
-    # Move everyone but the record holder toward the recorded best position.
-    moving = np.arange(n) != state.best_index
-    m = n - 1
-    if config.per_coordinate_draws:
-        r = rng.uniform_unit_batch(m * objective.dimension).reshape(m, objective.dimension)
-    else:
-        r = rng.uniform_unit_batch(m)
-    state.positions[moving] = move_toward_best(
-        state.positions[moving], state.vorticity[moving], state.best_position,
-        r, objective.lower, objective.upper,
-    )
+    # Move the whole swarm toward the recorded best position, with a zero draw
+    # at the holder's row, then restore the holder's row: it does not move.
+    r = draws[n + k:]
+    split = holder * m
+    r = np.concatenate((r[:split], np.zeros(m), r[split:])).reshape(n, m)
+    before = state.positions
+    state.positions = move_toward_best(before, state.vorticity, state.best_position,
+                                       r, objective.lower, objective.upper)
+    state.positions[holder] = before[holder]
 
     non_finite = refresh_fitness_and_best(state, objective)
     eliminated = eliminate_and_respawn(state, config, objective, rng)

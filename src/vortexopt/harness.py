@@ -113,14 +113,7 @@ class ExperimentPlan:
             if not dims:
                 raise ValueError(f"no dimensions selected for {name!r}")
             for d in dims:
-                if not spec.supports(d):
-                    if spec.fixed_dimension is not None:
-                        detail = f"only dimension {spec.fixed_dimension}"
-                    else:
-                        detail = f"any dimension >= {spec.min_dimension}"
-                    raise ValueError(
-                        f"benchmark {name!r} supports {detail}, got {d}"
-                    )
+                spec.check_dimension(d)
 
     def cells(self) -> list:
         return [(f, d) for f in self.functions for d in self.dimensions[f]]

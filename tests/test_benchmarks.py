@@ -99,6 +99,15 @@ class TestOracleAgreement:
         batch = obj.evaluate_rows(points)
         np.testing.assert_array_equal(batch, [obj.evaluate(p) for p in points])
 
+    @pytest.mark.parametrize("name,dimension", ALL_CELLS)
+    def test_batch_maps_leading_axes(self, name, dimension):
+        obj = get_objective(name, dimension)
+        stack = np.random.default_rng(11).uniform(
+            obj.lower, obj.upper, size=(3, 4, dimension))
+        got = obj.evaluate_batch(stack)
+        assert got.shape == (3, 4)
+        np.testing.assert_array_equal(got, [[obj.evaluate(p) for p in rows] for rows in stack])
+
 
 class TestKnownMinima:
     @pytest.mark.parametrize("name", benchmark_names())

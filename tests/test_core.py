@@ -133,10 +133,31 @@ class TestVoaConfig:
         {"max_vorticity": float("inf")},
         {"min_vorticity": float("-inf")},
         {"pull_epsilon": float("inf")},
+        {"seed": 1.5},
+        {"seed": "3"},
+        {"seed": True},
+        {"max_iterations": 2.5},
+        {"n_particles": 50.0},
+        {"elimination_threshold": False},
+        {"n_particles": np.True_},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             VoaConfig(**kwargs)
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 1.5), ("seed", "3"), ("seed", True), ("n_particles", 50.0),
+        ("max_iterations", 2.5), ("elimination_threshold", None),
+    ])
+    def test_non_integer_field_named_in_error(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            VoaConfig(**{field: value})
+
+    def test_numpy_integers_accepted_as_int(self):
+        config = VoaConfig(seed=np.int64(3), n_particles=np.int32(20),
+                           elimination_threshold=np.uint8(5))
+        assert (config.seed, config.n_particles, config.elimination_threshold) == (3, 20, 5)
+        assert type(config.seed) is int and type(config.n_particles) is int
 
     def test_initial_vorticity_outside_clamp_accepted(self):
         assert VoaConfig(initial_vorticity=100.0).initial_vorticity == 100.0

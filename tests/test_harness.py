@@ -73,6 +73,14 @@ class TestMakePlan:
         with pytest.raises(ValueError, match="booth"):
             make_plan(functions=["booth"], dims=[7], out_dir=tmp_path)
 
+    @pytest.mark.parametrize("name,dim", [("booth", 7), ("rosenbrock", 1)])
+    def test_unsupported_dimension_error_matches_get_objective(self, tmp_path, name, dim):
+        with pytest.raises(ValueError) as from_plan:
+            make_plan(functions=[name], dims=[dim], out_dir=tmp_path)
+        with pytest.raises(ValueError) as from_objective:
+            harness.get_objective(name, dim)
+        assert str(from_plan.value) == str(from_objective.value)
+
     def test_unknown_function_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown"):
             make_plan(functions=["nope"], out_dir=tmp_path)
