@@ -160,7 +160,11 @@ def move_toward_best(positions, vorticity, best_position, r, lower, upper):
         factor = r * v[:, None]
     else:
         factor = np.atleast_1d(r * v)[:, None]
-    moved = (pos + factor * (best[None, :] - pos)).clip(lower, upper)
+    # pos + factor * (best - pos), computed in place on one new array.
+    moved = best - pos
+    moved *= factor
+    moved += pos
+    moved = moved.clip(lower, upper)
     return moved[0] if single else moved
 
 
