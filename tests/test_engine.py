@@ -312,29 +312,6 @@ STAGES = ("mark_vortices", "vorticity_pull", "vorticity_decay", "move_toward_bes
           "refresh_fitness_and_best", "eliminate_and_respawn")
 
 
-def _record_stage_calls(monkeypatch):
-    """Wrap each stage function's module global; returns {stage: [args, ...]}
-    and keeps, per call, the vortex count after marking and the normal count
-    a triggered respawn replaced."""
-    calls = {name: [] for name in STAGES}
-    for name in STAGES:
-        real = getattr(engine, name)
-
-        def wrapper(*args, _name=name, _real=real):
-            before = int(np.count_nonzero(~args[0].is_vortex)) if _name == STAGES[-1] else 0
-            result = _real(*args)
-            extra = None
-            if _name == "mark_vortices":
-                extra = int(np.count_nonzero(args[0].is_vortex))
-            elif _name == "eliminate_and_respawn":
-                extra = before if result else 0
-            calls[_name].append((args, extra))
-            return result
-
-        monkeypatch.setattr(engine, name, wrapper)
-    return calls
-
-
 class TestIterationContract:
     """What tools that wrap the stage functions from outside rely on."""
 
@@ -348,15 +325,28 @@ class TestIterationContract:
         objective = get_objective(name, dimension)
         n = config.n_particles
         m = dimension if config.per_coordinate_draws else 1
-        calls = _record_stage_calls(monkeypatch)
+        vortices, respawned = [], []
+        real_mark, real_eliminate = engine.mark_vortices, engine.eliminate_and_respawn
+
+        def mark(state):
+            real_mark(state)
+            vortices.append(int(np.count_nonzero(state.is_vortex)))
+            return state
+
+        def eliminate(state, *rest):
+            normal = int(np.count_nonzero(~state.is_vortex))
+            triggered = real_eliminate(state, *rest)
+            respawned.append(normal if triggered else 0)
+            return triggered
+
+        monkeypatch.setattr(engine, "mark_vortices", mark)
+        monkeypatch.setattr(engine, "eliminate_and_respawn", eliminate)
         rng = RandomSource(config.seed)
         state = initialize_swarm(config, objective, rng)
         used = n * dimension + 1
         for it in range(8):
             advance_iteration(state, config, objective, rng)
-            vortices = calls["mark_vortices"][it][1]
-            respawned = calls["eliminate_and_respawn"][it][1]
-            used += n + (vortices - 1) + (n - 1) * m + respawned * dimension
+            used += n + (vortices[it] - 1) + (n - 1) * m + respawned[it] * dimension
             # The next draw is the one right after the counted ones.
             assert rng.uniform_unit() == splitmix64_units(config.seed, used + 1)[-1]
             used += 1
@@ -366,11 +356,17 @@ class TestIterationContract:
         objective = get_objective("booth", 2)
         rng = RandomSource(config.seed)
         state = initialize_swarm(config, objective, rng)
-        calls = _record_stage_calls(monkeypatch)
+        calls = {name: [] for name in STAGES}
+        for name in STAGES:
+            def record(*args, _name=name, _real=getattr(engine, name)):
+                calls[_name].append(args)
+                return _real(*args)
+
+            monkeypatch.setattr(engine, name, record)
         advance_iteration(state, config, objective, rng)
         assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(STAGES, 1)
-        assert calls["mark_vortices"][0][0] == (state,)
-        assert calls["refresh_fitness_and_best"][0][0] == (state, objective)
-        eliminate_args = calls["eliminate_and_respawn"][0][0]
-        assert all(a is b for a, b in zip(eliminate_args, (state, config, objective, rng)))
+        assert calls["mark_vortices"][0] == (state,)
+        assert calls["refresh_fitness_and_best"][0] == (state, objective)
+        eliminate_args = calls["eliminate_and_respawn"][0]
         assert len(eliminate_args) == 4
+        assert all(a is b for a, b in zip(eliminate_args, (state, config, objective, rng)))
