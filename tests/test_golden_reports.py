@@ -1,0 +1,87 @@
+"""Golden report bytes: every file and stdout line a small CLI plan produces.
+
+The plan is booth d=2 plus sphere d=2 and d=5, 2 seeds, 50 iterations, with
+traces. Each output is pinned by its sha256: ``runs.csv`` without the
+``wall_time_ms`` column, ``summary.csv``, ``summary.json``, one trace CSV,
+the ``run`` stdout (summary grid included) and the ``check`` stdout. The
+temporary directory that holds the outputs is replaced by ``<out>`` in
+stdout before hashing.
+"""
+
+import contextlib
+import hashlib
+import io
+from dataclasses import replace
+
+import pytest
+
+import vortexopt.cli as cli
+from helpers import strip_wall_column
+
+RUN_ARGS = ["--function", "booth", "--function", "sphere", "--dim", "2", "--seeds", "2",
+            "--iterations", "50", "--jobs", "1"]
+# booth exists only at d=2, so the sphere d=5 cell is added after parsing.
+DIMENSIONS = {"booth": (2,), "sphere": (2, 5)}
+
+# Recorded before the particle views, trace rows, RNG wrappers, duplicate
+# reference table and second grid renderer were removed.
+GOLDEN = {
+    "runs.csv": "af36c47c95483fc8d7cc5808c84374309e0c97f8fe02ba1aae29b1b65491c7e2",
+    "summary.csv": "01380facc4455bb8b1182bef57118327a975dcea4083f5440800d91c85ce2337",
+    "summary.json": "c736c9537887f638c95f621e24f745ff28c02bbdbcd3d4bc5f2781c720c27599",
+    "trace": "cd266f7a8d4ba9b7aad187a3cf7f3b0dfa10ee1008f3f121ad3bc3c7c6d99bee",
+    "run_stdout": "4dd4045ff2ea702da76e1392d296eff842c75d6bebef2a976b7704cf7032b7f4",
+    "check_stdout": "46c156ec3d8cd7acedacfe411ade58eae312f0d38e6b54b63d94da43e844d153",
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden_reports")
+    out, traces = root / "res", root / "traces"
+    real = cli.plan_from_args
+
+    def with_sphere_d5(ns):
+        plan, jobs = real(ns)
+        return replace(plan, dimensions=DIMENSIONS), jobs
+
+    capture = pytest.MonkeyPatch()
+    capture.setattr(cli, "plan_from_args", with_sphere_d5)
+    stdout = {}
+    try:
+        for name, argv, code in (
+            ("run_stdout", ["run", *RUN_ARGS, "--out", str(out), "--trace-dir", str(traces)], 0),
+            ("check_stdout", ["check", "--out", str(out)], 0),
+        ):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(argv) == code
+            stdout[name] = buf.getvalue().replace(str(root), "<out>")
+    finally:
+        capture.undo()
+    return {
+        "runs.csv": strip_wall_column((out / "runs.csv").read_text(encoding="utf-8")),
+        "summary.csv": (out / "summary.csv").read_text(encoding="utf-8"),
+        "summary.json": (out / "summary.json").read_text(encoding="utf-8"),
+        "trace": (traces / "sphere_d5_s2.csv").read_text(encoding="utf-8"),
+        **stdout,
+    }
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_report_bytes_match_golden(outputs, name):
+    assert _sha(outputs[name]) == GOLDEN[name]
+
+
+def test_plan_covers_the_intended_cells(outputs):
+    rows = outputs["runs.csv"].splitlines()[1:]
+    assert [tuple(r.split(",")[:3]) for r in rows] == [
+        ("booth", "2", "1"), ("booth", "2", "2"),
+        ("sphere", "2", "1"), ("sphere", "2", "2"),
+        ("sphere", "5", "1"), ("sphere", "5", "2"),
+    ]
+    assert len(outputs["trace"].splitlines()) == 1 + 51
