@@ -5,16 +5,11 @@ harness with a CLI.
 
 from .core import (
     Objective,
-    Particle,
-    ParticleStatus,
     RandomSource,
     SwarmState,
     VoaConfig,
-    uniform_in,
-    uniform_unit,
 )
 from .engine import (
-    IterationTrace,
     RunReport,
     RunTrace,
     advance_iteration,
@@ -43,14 +38,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Objective",
-    "Particle",
-    "ParticleStatus",
     "RandomSource",
     "SwarmState",
     "VoaConfig",
-    "uniform_in",
-    "uniform_unit",
-    "IterationTrace",
     "RunReport",
     "RunTrace",
     "advance_iteration",

@@ -145,20 +145,13 @@ class BenchmarkSpec:
         return np.full(dimension, float(self.minimizer_fill))
 
 
-def _pair_eval(fn):
-    def evaluate(p):
-        p = np.asarray(p, dtype=np.float64)
-        return float(fn(p[0], p[1]))
-
-    return evaluate
-
-
 def _pair_batch(fn):
     return lambda X: fn(X[..., 0], X[..., 1])
 
 
-def _vector_eval(fn):
-    return lambda p: float(fn(np.asarray(p, dtype=np.float64)))
+def _scalar(batch):
+    # A registry entry's scalar evaluate is its batch function on one row.
+    return lambda p: float(batch(np.asarray(p, dtype=np.float64)))
 
 
 _SPECS = (
@@ -212,14 +205,13 @@ _SPECS = (
 
 REGISTRY = {spec.name: spec for spec in _SPECS}
 
-_PAIR_FUNCTIONS = {
-    "booth": booth,
-    "beale": beale,
-    "goldstein_price": goldstein_price,
-    "mccormick": mccormick,
-    "three_hump_camel": three_hump_camel,
+# Batch functions map a stack of rows (any leading axes) to one value per row.
+_BATCH_FUNCTIONS = {
+    **{fn.__name__: _pair_batch(fn)
+       for fn in (booth, beale, goldstein_price, mccormick, three_hump_camel)},
+    "sphere": sphere,
+    "rosenbrock": rosenbrock,
 }
-_VECTOR_FUNCTIONS = {"sphere": sphere, "rosenbrock": rosenbrock}
 
 
 def benchmark_names() -> list:
@@ -244,20 +236,13 @@ def get_objective(name: str, dimension: int) -> Objective:
     """
     spec = get_spec(name)
     spec.check_dimension(dimension)
-    if name in _PAIR_FUNCTIONS:
-        fn = _PAIR_FUNCTIONS[name]
-        evaluate = _pair_eval(fn)
-        evaluate_batch = _pair_batch(fn)
-    else:
-        fn = _VECTOR_FUNCTIONS[name]
-        evaluate = _vector_eval(fn)
-        evaluate_batch = fn
+    batch = _BATCH_FUNCTIONS[name]
     return Objective(
         name=name,
         dimension=dimension,
         bounds=spec.bounds(dimension),
-        evaluate=evaluate,
-        evaluate_batch=evaluate_batch,
+        evaluate=_scalar(batch),
+        evaluate_batch=batch,
         known_minimum_value=spec.known_minimum_value,
         known_minimizer=spec.minimizer(dimension),
     )

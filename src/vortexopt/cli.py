@@ -11,13 +11,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from .benchmarks import GRID_DIMENSIONS, REGISTRY, benchmark_names
+from .benchmarks import REGISTRY, benchmark_names
 from .harness import (
     evaluate_checks,
     execute_plan,
     make_plan,
     read_runs_csv,
     summarize,
+    summary_grid,
     write_reports,
 )
 
@@ -153,17 +154,12 @@ def parse_plan(argv) -> tuple:
     return plan_from_args(ns)
 
 
-def _print_summary_table(summaries, stream):
-    by_cell = {(s.function, s.dimension): s for s in summaries}
-    dims = GRID_DIMENSIONS
-    header = f"{'function':<18}" + "".join(f"{f'd={d}':>12}" for d in dims)
-    print(header, file=stream)
-    for name in benchmark_names():
-        cells = []
-        for d in dims:
-            row = by_cell.get((name, d))
-            cells.append(f"{row.median:>12.4f}" if row is not None else f"{'NA':>12}")
-        print(f"{name:<18}" + "".join(cells), file=stream)
+def _print_summary_table(summaries):
+    dims, grid = summary_grid(summaries)
+    print(f"{'function':<18}" + "".join(f"{f'd={d}':>12}" for d in dims))
+    for name, medians in grid:
+        print(f"{name:<18}" + "".join(f"{'NA':>12}" if m is None else f"{m:>12.4f}"
+                                      for m in medians))
 
 
 def _cmd_run(ns) -> int:
@@ -182,7 +178,7 @@ def _cmd_run(ns) -> int:
     summaries = summarize(reports)
     paths = write_reports(reports, summaries, plan)
     print(f"median best over {len(plan.seeds)} seed(s):")
-    _print_summary_table(summaries, sys.stdout)
+    _print_summary_table(summaries)
     print(f"\nreports written to {paths['runs']} and {paths['summary']}")
     if paths["traces"] is not None:
         print(f"traces written to {paths['traces']}")

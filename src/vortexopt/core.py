@@ -1,6 +1,6 @@
 """Core domain types shared by the optimizer, the benchmark suite, and the harness.
 
-Defines the particle and swarm state containers, the run configuration, the
+Defines the columnar swarm state, the run configuration, the
 objective-function contract, and the seeded deterministic random source that
 every stochastic operation draws from.
 """
@@ -10,20 +10,17 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
-    "ParticleStatus",
-    "Particle",
     "VoaConfig",
     "Objective",
     "SwarmState",
     "RandomSource",
-    "uniform_unit",
-    "uniform_in",
+    "as_integer",
+    "as_seed",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -35,34 +32,19 @@ _UNIT_SCALE = 1.0 / (1 << 53)
 _BLOCK_DRAWS = 4096
 
 
-class ParticleStatus(Enum):
-    """Swarm membership class: vortex particles persist, normal ones may be culled."""
+def as_integer(name: str, value) -> int:
+    """``value`` as an ``int``; a bool or a non-integer raises ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
-    VORTEX = "vortex"
-    NORMAL = "normal"
 
-
-@dataclass
-class Particle:
-    """Snapshot of a single swarm member.
-
-    Attributes
-    ----------
-    position : ndarray
-        Coordinates in the search box, length equals the objective dimension.
-    vorticity : float
-        Scalar state that scales the particle's pull toward the global best.
-    fitness : float
-        Objective value at ``position`` (minimization sense). Non-finite
-        evaluations are stored as ``+inf``.
-    status : ParticleStatus
-        Vortex or normal classification from the most recent marking pass.
-    """
-
-    position: np.ndarray
-    vorticity: float
-    fitness: float
-    status: ParticleStatus
+def as_seed(name: str, value) -> int:
+    """``value`` as a SplitMix64 seed: ``as_integer``, then within [0, 2**64 - 1]."""
+    seed = as_integer(name, value)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"{name} must lie in [0, 2**64 - 1], got {seed}")
+    return seed
 
 
 class RandomSource:
@@ -85,9 +67,7 @@ class RandomSource:
     """
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= _MASK64:
-            raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {seed}")
-        self._seed = int(seed)
+        self._seed = as_seed("seed", seed)
         self._count = 0
         self._block = np.empty(0, dtype=np.float64)
         self._pos = 0
@@ -117,12 +97,6 @@ class RandomSource:
         """Return the next uniform draw in [0, 1)."""
         return float(self.uniform_unit_batch(1)[0])
 
-    def uniform_in(self, lower: float, upper: float) -> float:
-        """Return a uniform draw in [lower, upper)."""
-        if not lower < upper:
-            raise ValueError(f"invalid interval: lower={lower} must be < upper={upper}")
-        return lower + self.uniform_unit() * (upper - lower)
-
     def uniform_box(self, lower: np.ndarray, upper: np.ndarray, count: int) -> np.ndarray:
         """Sample ``count`` points uniformly in the box spanned by lower/upper.
 
@@ -142,16 +116,6 @@ class RandomSource:
         d = lower.shape[0]
         u = self.uniform_unit_batch(count * d).reshape(count, d)
         return lower + u * (upper - lower)
-
-
-def uniform_unit(rng: RandomSource) -> float:
-    """Next deterministic draw in [0, 1); advances the generator state."""
-    return rng.uniform_unit()
-
-
-def uniform_in(rng: RandomSource, lower: float, upper: float) -> float:
-    """Next draw mapped affinely onto [lower, upper)."""
-    return rng.uniform_in(lower, upper)
 
 
 @dataclass(frozen=True)
@@ -190,11 +154,9 @@ class VoaConfig:
     target_fitness: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("n_particles", "max_iterations", "elimination_threshold", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name in ("n_particles", "max_iterations", "elimination_threshold"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        object.__setattr__(self, "seed", as_seed("seed", self.seed))
         if self.min_vorticity is None:
             object.__setattr__(self, "min_vorticity", -float(self.max_vorticity))
         for name in ("initial_vorticity", "max_vorticity", "min_vorticity", "pull_epsilon"):
@@ -214,8 +176,6 @@ class VoaConfig:
                 "elimination_threshold must lie in [0, n_particles], got "
                 f"{self.elimination_threshold} with n_particles={self.n_particles}"
             )
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError(f"seed must lie in [0, 2**64 - 1], got {self.seed}")
         if not self.pull_epsilon > 0.0:
             raise ValueError(f"pull_epsilon must be > 0, got {self.pull_epsilon}")
 
@@ -327,16 +287,3 @@ class SwarmState:
     @property
     def n_particles(self) -> int:
         return self.positions.shape[0]
-
-    @property
-    def particles(self) -> list:
-        """Materialize per-particle snapshots (copies, safe to keep)."""
-        return [
-            Particle(
-                position=self.positions[i].copy(),
-                vorticity=float(self.vorticity[i]),
-                fitness=float(self.fitness[i]),
-                status=ParticleStatus.VORTEX if self.is_vortex[i] else ParticleStatus.NORMAL,
-            )
-            for i in range(self.n_particles)
-        ]

@@ -32,7 +32,6 @@ import numpy as np
 from .core import Objective, RandomSource, SwarmState, VoaConfig
 
 __all__ = [
-    "IterationTrace",
     "RunTrace",
     "RunReport",
     "vorticity_kick",
@@ -48,20 +47,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IterationTrace:
-    """Per-iteration convergence record. Row 0 is the initialization snapshot."""
-
-    iteration: int
-    best_fitness_so_far: float
-    mean_fitness: float
-    vortex_count: int
-    eliminations_triggered: bool
-    non_finite_evals: int = 0
-
-
 class RunTrace:
-    """Columnar trace of a whole run; indexable as IterationTrace rows."""
+    """Columnar trace of a whole run, one array per column: row 0 is the
+    initialized swarm and row k the swarm after iteration k."""
 
     def __init__(self, iteration, best_fitness_so_far, mean_fitness, vortex_count,
                  eliminations_triggered, non_finite_evals):
@@ -74,19 +62,6 @@ class RunTrace:
 
     def __len__(self):
         return self.iteration.shape[0]
-
-    def __getitem__(self, i) -> IterationTrace:
-        return IterationTrace(
-            iteration=int(self.iteration[i]),
-            best_fitness_so_far=float(self.best_fitness_so_far[i]),
-            mean_fitness=float(self.mean_fitness[i]),
-            vortex_count=int(self.vortex_count[i]),
-            eliminations_triggered=bool(self.eliminations_triggered[i]),
-            non_finite_evals=int(self.non_finite_evals[i]),
-        )
-
-    def rows(self):
-        return (self[i] for i in range(len(self)))
 
 
 @dataclass(eq=False)

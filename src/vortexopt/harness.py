@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .benchmarks import GRID_DIMENSIONS, benchmark_names, get_objective, get_spec
-from .core import VoaConfig
+from .core import VoaConfig, as_integer, as_seed
 from .engine import RunReport, run
 
 __all__ = [
@@ -28,10 +28,10 @@ __all__ = [
     "SummaryRow",
     "CheckResult",
     "REFERENCE_RESULTS",
-    "CHECK_RULES",
     "make_plan",
     "execute_plan",
     "summarize",
+    "summary_grid",
     "write_reports",
     "read_runs_csv",
     "evaluate_checks",
@@ -47,45 +47,26 @@ TRACE_HEADER = "iteration,best_fitness,mean_fitness,vortex_count,eliminated"
 DEFAULT_SEED_COUNT = 20
 DEFAULT_BASE_SEED = 1
 
-# Published single-number results this harness compares against, keyed by
-# (function, dimension).
+# Published single-number results, keyed by (function, dimension), with the
+# tolerance rule `check` applies to each: (reference value, rule, tolerance).
+# "max" passes when the median best is at or below the tolerance; "near"
+# passes when it lies within the tolerance of the reference value.
 REFERENCE_RESULTS = {
-    ("booth", 2): 0.0,
-    ("beale", 2): 0.0,
-    ("goldstein_price", 2): 3.0,
-    ("mccormick", 2): -1.9133,
-    ("three_hump_camel", 2): 0.0,
-    ("sphere", 2): 0.0,
-    ("sphere", 5): 0.0,
-    ("sphere", 10): 0.0,
-    ("sphere", 20): 0.0,
-    ("sphere", 30): 0.0,
-    ("rosenbrock", 2): 0.0,
-    ("rosenbrock", 5): 0.0,
-    ("rosenbrock", 10): 0.0002,
-    ("rosenbrock", 20): 0.0027,
-    ("rosenbrock", 30): 0.0023,
-}
-
-# Tolerance rules for the `check` subcommand. "max" passes when the median
-# best is at or below the bound; "near" passes when it lies within the bound
-# of the target value.
-CHECK_RULES = {
-    ("booth", 2): ("max", 1e-4),
-    ("beale", 2): ("max", 1e-4),
-    ("goldstein_price", 2): ("near", 3.0, 1e-3),
-    ("mccormick", 2): ("near", -1.9133, 1e-3),
-    ("three_hump_camel", 2): ("max", 1e-4),
-    ("sphere", 2): ("max", 1e-4),
-    ("sphere", 5): ("max", 1e-4),
-    ("sphere", 10): ("max", 1e-4),
-    ("sphere", 20): ("max", 1e-4),
-    ("sphere", 30): ("max", 1e-4),
-    ("rosenbrock", 2): ("max", 1e-3),
-    ("rosenbrock", 5): ("max", 1e-3),
-    ("rosenbrock", 10): ("max", 1e-2),
-    ("rosenbrock", 20): ("max", 5e-2),
-    ("rosenbrock", 30): ("max", 5e-2),
+    ("booth", 2): (0.0, "max", 1e-4),
+    ("beale", 2): (0.0, "max", 1e-4),
+    ("goldstein_price", 2): (3.0, "near", 1e-3),
+    ("mccormick", 2): (-1.9133, "near", 1e-3),
+    ("three_hump_camel", 2): (0.0, "max", 1e-4),
+    ("sphere", 2): (0.0, "max", 1e-4),
+    ("sphere", 5): (0.0, "max", 1e-4),
+    ("sphere", 10): (0.0, "max", 1e-4),
+    ("sphere", 20): (0.0, "max", 1e-4),
+    ("sphere", 30): (0.0, "max", 1e-4),
+    ("rosenbrock", 2): (0.0, "max", 1e-3),
+    ("rosenbrock", 5): (0.0, "max", 1e-3),
+    ("rosenbrock", 10): (0.0002, "max", 1e-2),
+    ("rosenbrock", 20): (0.0027, "max", 5e-2),
+    ("rosenbrock", 30): (0.0023, "max", 5e-2),
 }
 
 
@@ -107,6 +88,8 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be pairwise distinct")
+        for seed in self.seeds:
+            as_seed("seed", seed)
         for name in self.functions:
             spec = get_spec(name)
             dims = self.dimensions.get(name, ())
@@ -138,8 +121,8 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
     for name in functions:
         spec = get_spec(name)
         dimensions[name] = tuple(dims) if dims else spec.grid_dimensions
-    base = DEFAULT_BASE_SEED if base_seed is None else int(base_seed)
-    count = DEFAULT_SEED_COUNT if seed_count is None else int(seed_count)
+    base = as_seed("base_seed", DEFAULT_BASE_SEED if base_seed is None else base_seed)
+    count = as_integer("seed_count", DEFAULT_SEED_COUNT if seed_count is None else seed_count)
     if count < 1:
         raise ValueError(f"seed count must be >= 1, got {count}")
     seeds = tuple(range(base, base + count))
@@ -257,7 +240,7 @@ def summarize(reports: Iterable[RunReport]) -> list:
             median=float(np.median(arr)),
             mean=float(arr.mean()),
             stddev=float(arr.std()),
-            reference_value=REFERENCE_RESULTS.get(key),
+            reference_value=REFERENCE_RESULTS[key][0] if key in REFERENCE_RESULTS else None,
         ))
     return rows
 
@@ -270,13 +253,26 @@ def _format_position(position) -> str:
     return ";".join(repr(float(x)) for x in np.asarray(position).ravel())
 
 
+def summary_grid(summaries) -> tuple:
+    """The rows and columns of the summary grid, for every renderer of it.
+
+    Returns ``(dimensions, rows)``: the grid dimensions, one column each, and
+    one ``(function, medians)`` row per registry function in registry order,
+    where a median is None for a cell that is not applicable to the function
+    or was not part of the plan.
+    """
+    medians = {(s.function, s.dimension): s.median for s in summaries}
+    rows = [(name, [medians.get((name, d)) for d in GRID_DIMENSIONS])
+            for name in benchmark_names()]
+    return GRID_DIMENSIONS, rows
+
+
 def write_reports(reports, summaries, plan: ExperimentPlan) -> dict:
     """Write runs.csv, the summary grid, a JSON summary, and optional traces.
 
-    The summary grid always has one row per registry function and one column
-    per grid dimension; cells that are not applicable for a function, or were
-    not part of this plan, hold ``NA``. Numbers use fixed scientific notation
-    so repeated identical plans write identical bytes (wall time aside).
+    The summary grid is ``summary_grid``'s, with ``NA`` for its empty cells.
+    Numbers use fixed scientific notation so repeated identical plans write
+    identical bytes (wall time aside).
     """
     out_dir = plan.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -291,14 +287,10 @@ def write_reports(reports, summaries, plan: ExperimentPlan) -> dict:
     runs_path = out_dir / "runs.csv"
     runs_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    by_cell = {(s.function, s.dimension): s for s in summaries}
+    _, grid = summary_grid(summaries)
     grid_lines = [SUMMARY_HEADER]
-    for name in benchmark_names():
-        cells = []
-        for d in GRID_DIMENSIONS:
-            row = by_cell.get((name, d))
-            cells.append(_sci(row.median) if row is not None else "NA")
-        grid_lines.append(name + "," + ",".join(cells))
+    for name, medians in grid:
+        grid_lines.append(name + "," + ",".join("NA" if m is None else _sci(m) for m in medians))
     summary_path = out_dir / "summary.csv"
     summary_path.write_text("\n".join(grid_lines) + "\n", encoding="utf-8")
 
@@ -374,22 +366,21 @@ def evaluate_checks(summaries) -> list:
     """Compare cell medians against the reference table tolerances."""
     results = []
     for s in summaries:
-        rule = CHECK_RULES.get((s.function, s.dimension))
-        if rule is None:
+        entry = REFERENCE_RESULTS.get((s.function, s.dimension))
+        if entry is None:
             continue
-        if rule[0] == "max":
-            bound = rule[1]
-            passed = s.median <= bound
-            text = f"median <= {bound:g}"
+        reference, rule, tol = entry
+        if rule == "max":
+            passed = s.median <= tol
+            text = f"median <= {tol:g}"
         else:
-            target, tol = rule[1], rule[2]
-            passed = abs(s.median - target) <= tol
-            text = f"|median - {target:g}| <= {tol:g}"
+            passed = abs(s.median - reference) <= tol
+            text = f"|median - {reference:g}| <= {tol:g}"
         results.append(CheckResult(
             function=s.function,
             dimension=s.dimension,
             median=s.median,
-            reference_value=s.reference_value,
+            reference_value=reference,
             rule=text,
             passed=passed,
         ))

@@ -1,5 +1,5 @@
-"""Shared test utilities: a scripted random source, CSV munging, and the
-stage-by-stage invariant driver used by the property and acceptance suites.
+"""Shared test utilities: CSV munging, and the stage-by-stage invariant
+driver used by the property and acceptance suites.
 """
 
 import numpy as np
@@ -16,24 +16,6 @@ from vortexopt import (
     vorticity_pull,
 )
 from vortexopt.core import RandomSource
-
-
-class FixedRng:
-    """Random source stand-in that replays a preset list of unit draws."""
-
-    def __init__(self, draws):
-        self._draws = list(draws)
-        self._i = 0
-
-    def uniform_unit(self):
-        value = self._draws[self._i]
-        self._i += 1
-        return value
-
-    def uniform_in(self, lower, upper):
-        if not lower < upper:
-            raise ValueError(f"invalid interval: lower={lower} must be < upper={upper}")
-        return lower + self.uniform_unit() * (upper - lower)
 
 
 def strip_wall_column(csv_text):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import FixedRng
 from oracles import splitmix64_units
-from vortexopt import Objective, VoaConfig, uniform_in, uniform_unit
-from vortexopt.core import _BLOCK_DRAWS, RandomSource
+from vortexopt import Objective, VoaConfig
+from vortexopt.core import _BLOCK_DRAWS, RandomSource, as_seed
 
 
 class TestRandomSource:
@@ -61,6 +60,11 @@ class TestRandomSource:
         with pytest.raises(ValueError):
             RandomSource(-1)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, np.True_, "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            RandomSource(seed)
+
     @pytest.mark.parametrize("seed", [2**64, 5 + 2**64])
     def test_seed_beyond_64_bits_rejected(self, seed):
         with pytest.raises(ValueError):
@@ -80,25 +84,45 @@ class TestRandomSource:
 
 
 class TestUniformIn:
+    """Uniform draws in an interval: ``uniform_box`` on a 1-d box."""
+
+    @staticmethod
+    def interval(rng, lower, upper, count=1):
+        return rng.uniform_box(np.array([lower]), np.array([upper]), count)[:, 0]
+
     def test_unit_interval_passthrough(self):
-        assert 0.0 <= uniform_in(RandomSource(42), 0.0, 1.0) < 1.0
+        np.testing.assert_array_equal(self.interval(RandomSource(42), 0.0, 1.0, 5),
+                                      splitmix64_units(42, 5))
 
     def test_symmetric_interval(self):
-        rng = RandomSource(11)
-        for _ in range(100):
-            assert -10.0 <= uniform_in(rng, -10.0, 10.0) < 10.0
+        draws = self.interval(RandomSource(11), -10.0, 10.0, 100)
+        assert np.all(draws >= -10.0) and np.all(draws < 10.0)
 
-    def test_midpoint_draw_maps_to_interval_midpoint(self):
-        assert uniform_in(FixedRng([0.5]), -4.5, 4.5) == 0.0
+    def test_draws_are_the_affine_map_of_the_reference_stream(self):
+        expected = [-4.5 + u * 9.0 for u in splitmix64_units(2**63 + 5, 16)]
+        np.testing.assert_array_equal(self.interval(RandomSource(2**63 + 5), -4.5, 4.5, 16),
+                                      expected)
 
     def test_rejects_degenerate_interval(self):
         with pytest.raises(ValueError):
-            uniform_in(RandomSource(1), 2.0, 2.0)
+            self.interval(RandomSource(1), 2.0, 2.0)
         with pytest.raises(ValueError):
-            uniform_in(RandomSource(1), 3.0, -3.0)
+            self.interval(RandomSource(1), 3.0, -3.0)
 
-    def test_module_level_uniform_unit(self):
-        assert uniform_unit(RandomSource(42)) == RandomSource(42).uniform_unit()
+
+class TestIntegerChecks:
+    def test_seed_range_named_in_error(self):
+        with pytest.raises(ValueError, match=r"^base_seed must lie in \[0, 2\*\*64 - 1\]"):
+            as_seed("base_seed", 2**64)
+        assert as_seed("seed", np.uint64(2**64 - 1)) == 2**64 - 1
+
+    def test_config_and_random_source_share_the_check(self):
+        for bad in (1.5, True, -1, 2**64):
+            with pytest.raises(ValueError) as from_config:
+                VoaConfig(seed=bad)
+            with pytest.raises(ValueError) as from_rng:
+                RandomSource(bad)
+            assert str(from_config.value) == str(from_rng.value)
 
 
 class TestVoaConfig:

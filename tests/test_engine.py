@@ -5,7 +5,6 @@ import vortexopt.engine as engine
 from oracles import splitmix64_units
 from vortexopt import (
     Objective,
-    ParticleStatus,
     SwarmState,
     VoaConfig,
     advance_iteration,
@@ -47,8 +46,6 @@ class TestInitializeSwarm:
         state = initialize_swarm(VoaConfig(), objective, RandomSource(1))
         assert state.n_particles == 50
         assert int(state.is_vortex.sum()) == 1
-        statuses = [p.status for p in state.particles]
-        assert statuses.count(ParticleStatus.VORTEX) == 1
 
     def test_best_record_is_population_minimum(self):
         objective = get_objective("sphere", 2)
@@ -223,11 +220,12 @@ class TestRun:
     def test_trace_starts_at_initialization(self):
         objective = get_objective("sphere", 2)
         report = run(VoaConfig(max_iterations=20, seed=2), objective)
-        first = report.trace[0]
-        assert first.iteration == 0
-        assert first.vortex_count == 1
-        assert not first.eliminations_triggered
-        assert len(report.trace) == 21
+        trace = report.trace
+        assert trace.iteration[0] == 0
+        assert trace.vortex_count[0] == 1
+        assert not trace.eliminations_triggered[0]
+        assert len(trace) == 21
+        np.testing.assert_array_equal(trace.iteration, np.arange(21))
 
     def test_same_seed_identical_reports(self):
         objective = get_objective("rosenbrock", 5)

@@ -15,7 +15,6 @@ from vortexopt import (
 )
 from vortexopt.engine import RunReport
 from vortexopt.harness import (
-    CHECK_RULES,
     REFERENCE_RESULTS,
     RUNS_HEADER,
     SUMMARY_HEADER,
@@ -80,6 +79,37 @@ class TestMakePlan:
         with pytest.raises(ValueError) as from_objective:
             harness.get_objective(name, dim)
         assert str(from_plan.value) == str(from_objective.value)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"base_seed": 1.5}, "base_seed"),
+        ({"base_seed": True}, "base_seed"),
+        ({"base_seed": "3"}, "base_seed"),
+        ({"seed_count": 2.7}, "seed_count"),
+        ({"seed_count": True}, "seed_count"),
+        ({"base_seed": 1.5, "seed_count": 2.7}, "base_seed"),
+    ])
+    def test_non_integer_seed_arguments_rejected(self, tmp_path, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            make_plan(out_dir=tmp_path, **kwargs)
+
+    @pytest.mark.parametrize("base,count", [(-1, 1), (2**64, 1), (2**64 - 1, 3), (2**64 - 2, 3)])
+    def test_seeds_beyond_64_bits_rejected_when_planned(self, tmp_path, base, count):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64 - 1\]"):
+            make_plan(base_seed=base, seed_count=count, out_dir=tmp_path)
+
+    def test_last_64_bit_seed_accepted(self, tmp_path):
+        plan = make_plan(base_seed=2**64 - 2, seed_count=2, out_dir=tmp_path)
+        assert plan.seeds == (2**64 - 2, 2**64 - 1)
+
+    def test_numpy_integer_seed_arguments_accepted(self, tmp_path):
+        plan = make_plan(base_seed=np.int64(5), seed_count=np.uint8(2), out_dir=tmp_path)
+        assert plan.seeds == (5, 6)
+        assert all(type(seed) is int for seed in plan.seeds)
+
+    def test_plan_built_directly_checks_its_seeds(self, tmp_path):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ExperimentPlan(functions=("booth",), dimensions={"booth": (2,)},
+                           seeds=(1, 2.5), config=VoaConfig(), out_dir=tmp_path)
 
     def test_unknown_function_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown"):
@@ -275,8 +305,25 @@ class TestWriteReports:
 
 class TestChecks:
     def test_every_grid_cell_has_a_rule_and_reference(self):
-        assert set(CHECK_RULES) == set(REFERENCE_RESULTS)
-        assert len(CHECK_RULES) == 15
+        assert set(REFERENCE_RESULTS) == set(make_plan().cells())
+        assert len(REFERENCE_RESULTS) == 15
+        for reference, rule, tolerance in REFERENCE_RESULTS.values():
+            assert isinstance(reference, float)
+            assert rule in ("max", "near")
+            assert tolerance > 0.0
+
+    def test_near_rules_measure_from_their_own_reference(self):
+        assert REFERENCE_RESULTS[("goldstein_price", 2)] == (3.0, "near", 1e-3)
+        assert REFERENCE_RESULTS[("mccormick", 2)] == (-1.9133, "near", 1e-3)
+        results = evaluate_checks([
+            SummaryRow("goldstein_price", 2, 20, 3.0, 3.0005, 3.0, 0.0, None),
+            SummaryRow("mccormick", 2, 20, -1.92, -1.9131, -1.91, 0.0, None),
+            SummaryRow("rosenbrock", 10, 20, 0.0, 0.009, 0.0, 0.0, None),
+        ])
+        assert [r.rule for r in results] == [
+            "|median - 3| <= 0.001", "|median - -1.9133| <= 0.001", "median <= 0.01"]
+        assert [r.reference_value for r in results] == [3.0, -1.9133, 0.0002]
+        assert all(r.passed for r in results)
 
     def test_threshold_rule(self):
         rows = [SummaryRow("sphere", 2, 20, 0.0, 5e-5, 1e-4, 1e-4, 0.0)]

@@ -67,10 +67,11 @@ class TestRuleProperties:
         width=st.floats(min_value=1e-6, max_value=1e6),
         seed=st.integers(min_value=0, max_value=2**32),
     )
-    def test_uniform_in_stays_in_interval(self, lower, width, seed):
+    def test_uniform_box_stays_in_interval(self, lower, width, seed):
         upper = lower + width
-        got = RandomSource(seed).uniform_in(lower, upper)
-        assert lower <= got <= upper
+        got = RandomSource(seed).uniform_box(np.array([lower]), np.array([upper]), 1)
+        assert got.shape == (1, 1)
+        assert lower <= got[0, 0] <= upper
 
     @given(seed=st.integers(min_value=0, max_value=2**64 - 1))
     @settings(max_examples=25)
