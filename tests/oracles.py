@@ -1,11 +1,16 @@
 """Independent straight-line oracles used to cross-check the package.
 
 Everything here is written against the standard library only (math module,
-pure-Python integers) so the checks cannot share a code path, or a bug, with
-the numpy-based implementations under test.
+pure-Python integers and floats) so the checks cannot share a code path, or a
+bug, with the numpy-based implementations under test. ``reference_run`` makes
+two exceptions: it evaluates through ``Objective.evaluate_rows``, because the
+objective is not what it checks, and it sums fitness with ``np.add.reduce``,
+because numpy's pairwise sum rounds differently from a sequential one.
 """
 
 import math
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -78,3 +83,134 @@ def splitmix64_units(seed, n):
         state = (state + _GAMMA) & _MASK
         out.append((_mix64(state) >> 11) * 2.0**-53)
     return out
+
+
+class _Stream:
+    """The SplitMix64 stream of one seed, read front to back."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.used = 0
+
+    def take(self, k):
+        # Draw i + 1 of seed s is draw 1 of seed s + i * gamma.
+        start = (self.seed + self.used * _GAMMA) & _MASK
+        self.used += k
+        return splitmix64_units(start, k)
+
+
+def _clamp(x, lo, hi):
+    return x if x != x else min(max(x, lo), hi)
+
+
+def _argmin(values):
+    # First index of the smallest value, as numpy's argmin picks it.
+    best = 0
+    for i, value in enumerate(values):
+        if value < values[best]:
+            best = i
+    return best
+
+
+def _mean(values):
+    return float(np.add.reduce(np.array(values, dtype=np.float64))) / len(values)
+
+
+def reference_run(config, objective):
+    """One VOA run, a particle and a coordinate at a time.
+
+    Written from the engine's stage list and the frozen stream layout: stages
+    in order, particles ascending, coordinates ascending. Returns a dict with
+    the report fields (``best_fitness``, ``best_position``, ``evaluations``,
+    ``iterations``) and the six trace columns as lists.
+    """
+    n, d = config.n_particles, objective.dimension
+    lower, upper = [float(b[0]) for b in objective.bounds], [float(b[1]) for b in objective.bounds]
+    v_min, v_max = config.min_vorticity, config.max_vorticity
+    m = d if config.per_coordinate_draws else 1
+    stream = _Stream(config.seed)
+
+    def box_points(count):
+        u = stream.take(count * d)
+        return [[lower[j] + u[i * d + j] * (upper[j] - lower[j]) for j in range(d)]
+                for i in range(count)]
+
+    def evaluate(rows):
+        raw = objective.evaluate_rows(np.array(rows, dtype=np.float64).reshape(len(rows), d))
+        values = [float(x) for x in raw]
+        return [x if math.isfinite(x) else math.inf for x in values], \
+            sum(not math.isfinite(x) for x in values)
+
+    # Initialization and the one-time kick of the initial best particle.
+    pos = box_points(n)
+    fit, bad = evaluate(pos)
+    vort = [config.initial_vorticity] * n
+    holder = _argmin(fit)
+    r = stream.take(1)[0]
+    vort[holder] = _clamp(vort[holder] + r * vort[holder], v_min, v_max)
+    vortex = [i == holder for i in range(n)]
+    best_pos, best_fit, best_v = list(pos[holder]), fit[holder], vort[holder]
+    evaluations = n
+    trace = {"iteration": [0], "best_fitness_so_far": [best_fit], "mean_fitness": [],
+             "vortex_count": [1], "eliminations_triggered": [False], "non_finite_evals": [bad]}
+
+    executed = 0
+    for it in range(1, config.max_iterations + 1):
+        # 1. Mark: at or below the mean fitness, and the record holder.
+        mean = _mean(fit)
+        trace["mean_fitness"].append(mean)
+        vortex = [fit[i] <= mean or i == holder for i in range(n)]
+
+        # 2. Pull every vorticity toward the record's.
+        eps = config.pull_epsilon
+        for i, r in enumerate(stream.take(n)):
+            v = vort[i]
+            guarded = v if abs(v) >= eps else (eps if v >= 0.0 else -eps)
+            vort[i] = _clamp(v + r * (best_v / guarded), v_min, v_max)
+
+        # 3. Decay every vortex but the holder.
+        decaying = [i for i in range(n) if vortex[i] and i != holder]
+        for i, r in zip(decaying, stream.take(len(decaying))):
+            vort[i] = r * vort[i]
+
+        # 4. Move everyone but the holder toward the recorded best position.
+        for i in range(n):
+            if i == holder:
+                continue
+            rs = stream.take(m)
+            for j in range(d):
+                step = (rs[j] if m == d else rs[0]) * vort[i]
+                pos[i][j] = _clamp(pos[i][j] + step * (best_pos[j] - pos[i][j]),
+                                   lower[j], upper[j])
+
+        # 5. Re-evaluate; the iteration's best becomes a vortex, and the
+        # record moves only on strict improvement.
+        fit, bad = evaluate(pos)
+        evaluations += n
+        top = _argmin(fit)
+        vortex[top] = True
+        if fit[top] < best_fit:
+            best_fit, best_pos, best_v, holder = fit[top], list(pos[top]), vort[top], top
+
+        # 6. Respawn every normal particle when few enough remain.
+        normal = [i for i in range(n) if not vortex[i]]
+        culled = len(normal) <= config.elimination_threshold
+        if culled and normal:
+            fresh = box_points(len(normal))
+            fresh_fit, _ = evaluate(fresh)
+            for i, p, f in zip(normal, fresh, fresh_fit):
+                pos[i], fit[i], vort[i] = p, f, config.initial_vorticity
+            evaluations += len(normal)
+
+        executed = it
+        trace["iteration"].append(it)
+        trace["best_fitness_so_far"].append(best_fit)
+        trace["vortex_count"].append(sum(vortex))
+        trace["eliminations_triggered"].append(culled)
+        trace["non_finite_evals"].append(bad)
+        if config.target_fitness is not None and best_fit <= config.target_fitness:
+            break
+    trace["mean_fitness"].append(_mean(fit))
+
+    return {"best_fitness": best_fit, "best_position": best_pos,
+            "evaluations": evaluations, "iterations": executed, "trace": trace}
