@@ -31,6 +31,8 @@ from vortexopt import (
 from vortexopt.benchmarks import benchmark_names, get_spec
 from vortexopt.core import RandomSource
 
+pytestmark = pytest.mark.slow
+
 
 def _report(criterion, passed, detail):
     print(f"[{'PASS' if passed else 'FAIL'}] {criterion}: {detail}")
