@@ -52,6 +52,30 @@ class TestRandomSource:
             rng.uniform_unit_batch(n)
         np.testing.assert_array_equal(first, kept)
 
+    def test_refills_hash_each_draw_once(self, monkeypatch):
+        # Each generated run of draws is located in the reference stream by
+        # value; the runs must tile the stream from draw 1 with no overlap.
+        seed = 2**63 + 5
+        sizes = (5, _BLOCK_DRAWS - 3, 10, 2 * _BLOCK_DRAWS + 7, 1, _BLOCK_DRAWS, 300, 2)
+        reference = splitmix64_units(seed, sum(sizes) + 2 * _BLOCK_DRAWS)
+        index_of = {value: i for i, value in enumerate(reference, start=1)}
+        generated = []
+        real = RandomSource._generate
+
+        def spy(self, *args):
+            out = real(self, *args)
+            first = index_of[out[0]]
+            np.testing.assert_array_equal(out, reference[first - 1:first - 1 + len(out)])
+            generated.append((first, first + len(out) - 1))
+            return out
+
+        monkeypatch.setattr(RandomSource, "_generate", spy)
+        rng = RandomSource(seed)
+        draws = np.concatenate([rng.uniform_unit_batch(n) for n in sizes])
+        np.testing.assert_array_equal(draws, reference[:sum(sizes)])
+        starts = [first for first, _ in generated]
+        assert starts == [1] + [last + 1 for _, last in generated[:-1]]
+
     def test_empirical_mean_is_uniform(self):
         draws = RandomSource(42).uniform_unit_batch(1_000_000)
         assert 0.495 <= draws.mean() <= 0.505
