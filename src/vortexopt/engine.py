@@ -100,10 +100,12 @@ def vorticity_pull(v, best_v, r, epsilon, v_min, v_max):
     v = np.asarray(v, dtype=np.float64)
     size = np.abs(v)
     guarded = v
-    # min() is NaN when v holds a NaN, which also takes the guarded branch.
-    if not size.min() >= epsilon:
+    # The minimum is NaN when v holds a NaN, which also takes the guarded branch.
+    if not np.minimum.reduce(size, axis=None) >= epsilon:
         guarded = np.where(size >= epsilon, v, np.where(v >= 0.0, epsilon, -epsilon))
-    out = (v + r * (best_v / guarded)).clip(v_min, v_max)
+    # Limits first: on a signed-zero tie this keeps the same zero that
+    # ndarray.clip keeps with scalar limits.
+    out = np.minimum(v_max, np.maximum(v_min, v + r * (best_v / guarded)))
     return out if out.ndim else float(out)
 
 
@@ -120,27 +122,26 @@ def move_toward_best(positions, vorticity, best_position, r, lower, upper):
     per-particle draw is shared by all coordinates of that particle, confining
     the move to the line through the best position.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    single = positions.ndim == 1
-    pos = np.atleast_2d(positions)
+    pos = np.asarray(positions, dtype=np.float64)
     best = np.asarray(best_position, dtype=np.float64)
-    if best.shape != (pos.shape[1],):
+    if pos.ndim not in (1, 2) or best.shape != pos.shape[-1:]:
         raise ValueError(
-            f"dimension mismatch: positions have {pos.shape[1]} coordinates, "
+            f"dimension mismatch: positions have shape {pos.shape}, "
             f"best position has shape {best.shape}"
         )
-    v = np.atleast_1d(np.asarray(vorticity, dtype=np.float64))
+    v = np.asarray(vorticity, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
-    if r.ndim == 2:
-        factor = r * v[:, None]
+    if r.ndim == pos.ndim:
+        factor = r * v[..., None]
     else:
-        factor = np.atleast_1d(r * v)[:, None]
-    # pos + factor * (best - pos), computed in place on one new array.
+        factor = (r * v)[..., None]
+    # pos + factor * (best - pos), computed and clamped in place on one new array.
     moved = best - pos
     moved *= factor
     moved += pos
-    moved = moved.clip(lower, upper)
-    return moved[0] if single else moved
+    np.maximum(moved, lower, out=moved)
+    np.minimum(moved, upper, out=moved)
+    return moved
 
 
 def _sanitize(values: np.ndarray) -> np.ndarray:

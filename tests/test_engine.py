@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -368,3 +371,31 @@ class TestIterationContract:
         eliminate_args = calls["eliminate_and_respawn"][0]
         assert len(eliminate_args) == 4
         assert all(a is b for a, b in zip(eliminate_args, (state, config, objective, rng)))
+
+
+class TestWrapperFreePath:
+    @pytest.mark.parametrize("name,dimension", [("booth", 2), ("sphere", 30)])
+    def test_iterations_enter_no_numpy_python_wrapper(self, name, dimension):
+        # numpy's Python-level wrappers (ndarray.clip -> _methods._clip,
+        # ndarray.min -> _methods._amin, np.sum -> fromnumeric.sum) cost
+        # microseconds per call on swarm-sized arrays; the stages call ufuncs.
+        config = VoaConfig(seed=3)
+        objective = get_objective(name, dimension)
+        rng = RandomSource(config.seed)
+        state = initialize_swarm(config, objective, rng)
+        entered = set()
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                entered.add((Path(frame.f_code.co_filename), frame.f_code.co_name))
+
+        sys.setprofile(profile)
+        try:
+            for _ in range(20):
+                advance_iteration(state, config, objective, rng)
+        finally:
+            sys.setprofile(None)
+        wrappers = sorted(f"{path.name}:{func}" for path, func in entered
+                          if "numpy" in path.parts
+                          and path.name in ("_methods.py", "fromnumeric.py"))
+        assert wrappers == []

@@ -104,3 +104,41 @@ class TestMoveTowardBest:
         got = move_toward_best(pos, np.array([0.5]), np.array([3.0, 3.0]),
                                r, *self.BOUNDS)
         np.testing.assert_allclose(got, [[2.0, 1.0]], atol=1e-12)
+
+
+SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 0.0)
+ZERO_LIMITS = [(-7.0, 7.0), (0.0, 7.0), (-0.0, 7.0), (-7.0, 0.0), (-7.0, -0.0)]
+
+
+class TestClampMatchesClip:
+    """The stages clamp with np.maximum/np.minimum; the bits must be what
+    ndarray.clip gives, on NaN, infinities, signed zeros and the limits."""
+
+    @pytest.mark.parametrize("v_min,v_max", ZERO_LIMITS)
+    def test_pull_clamps_like_clip(self, v_min, v_max):
+        # With r = 0 and best_v = -1 the pre-clamp value is v + (-0.0) or
+        # v + 0.0, which is v itself for every value below.
+        v = np.array([*SPECIAL, v_min, v_max, 3.0, 9.0, -9.0] * 5)
+        got = vorticity_pull(v, -1.0, 0.0, 1e-9, v_min, v_max)
+        assert got.tobytes() == v.clip(v_min, v_max).tobytes()
+        for x in v[:10]:
+            got = vorticity_pull(float(x), -1.0, 0.0, 1e-9, v_min, v_max)
+            assert np.float64(got).tobytes() == np.float64(x).clip(v_min, v_max).tobytes()
+
+    @pytest.mark.parametrize("best", [-1.0, np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("per_coordinate", [False, True])
+    def test_move_clamps_like_clip(self, best, per_coordinate):
+        lower = np.array([0.0, -0.0, -2.0, -2.0, -2.0])
+        upper = np.array([2.0, 2.0, 0.0, -0.0, 2.0])
+        values = np.array([*SPECIAL, 2.0, -2.0, 1.0, 3.0, -3.0])
+        pos = np.resize(values, (60, 5))
+        v = np.resize([1.0, 0.5], 60)
+        # r = 0 leaves each finite position as it is before the clamp (the
+        # step is a signed zero); r = 1 carries an infinite or NaN best into it.
+        r = np.resize([0.0, 1.0, 0.0], (60, 5) if per_coordinate else 60)
+        best = np.full(5, best)
+        factor = r * v[:, None] if per_coordinate else (r * v)[:, None]
+        with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf are NaN
+            expected = ((best - pos) * factor + pos).clip(lower, upper)
+            got = move_toward_best(pos, v, best, r, lower, upper)
+        assert got.tobytes() == expected.tobytes()
