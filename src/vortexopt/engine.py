@@ -118,9 +118,9 @@ def move_toward_best(positions, vorticity, best_position, r, lower, upper):
     """Move particles along ``r * v * (best - position)``, clamped to the box.
 
     ``positions`` is one vector or a (k, d) stack. ``r`` may be a scalar, one
-    draw per particle (k,), or one draw per coordinate (k, d); a scalar or
-    per-particle draw is shared by all coordinates of that particle, confining
-    the move to the line through the best position.
+    draw per particle (k,), or one draw per coordinate (the shape of
+    ``positions``); a scalar or per-particle draw is shared by all coordinates
+    of that particle, confining the move to the line through the best position.
     """
     pos = np.asarray(positions, dtype=np.float64)
     best = np.asarray(best_position, dtype=np.float64)

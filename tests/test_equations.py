@@ -105,6 +105,11 @@ class TestMoveTowardBest:
                                r, *self.BOUNDS)
         np.testing.assert_allclose(got, [[2.0, 1.0]], atol=1e-12)
 
+    def test_single_vector_with_per_coordinate_draws(self):
+        got = move_toward_best(np.array([1.0, 1.0]), 0.5, np.array([3.0, 3.0]),
+                               np.array([1.0, 0.0]), *self.BOUNDS)
+        np.testing.assert_allclose(got, [2.0, 1.0], atol=1e-12)
+
 
 SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 0.0)
 ZERO_LIMITS = [(-7.0, 7.0), (0.0, 7.0), (-0.0, 7.0), (-7.0, 0.0), (-7.0, -0.0)]
