@@ -2,18 +2,19 @@
 
 Seven classic single-objective test functions: five fixed two-dimensional
 problems (Booth, Beale, Goldstein-Price, McCormick, three-hump camel) and two
-scalable ones (sphere, Rosenbrock). Each registry entry carries the exact box
-bounds and optimum metadata used by the experiment harness.
+scalable ones (sphere, Rosenbrock). Each registry entry carries its batch
+function, the exact box bounds and the known optimum; an ``Objective`` built
+from it holds only what the engine needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Objective
+from .core import Objective, as_integer
 
 __all__ = [
     "booth",
@@ -100,14 +101,16 @@ def rosenbrock(x):
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """Registry entry: domain, optimum metadata, and supported dimensions.
+    """Registry entry: batch function, domain, optimum and supported dimensions.
 
+    ``batch`` maps a stack of rows (any leading axes) to one value per row.
     ``fixed_dimension`` pins the problem size; scalable entries leave it None
     and accept any dimension >= ``min_dimension``. ``grid_dimensions`` lists
     the dimensions reported in the harness summary grid.
     """
 
     name: str
+    batch: Callable
     bounds_per_dim: tuple
     known_minimum_value: float
     minimizer_fill: object
@@ -125,10 +128,12 @@ class BenchmarkSpec:
             return dimension == self.fixed_dimension
         return dimension >= self.min_dimension
 
-    def check_dimension(self, dimension: int) -> None:
-        """Raise ValueError, naming what is supported, unless ``supports``."""
+    def check_dimension(self, dimension) -> int:
+        """``dimension`` as an ``int``; raise ValueError, naming what is
+        supported, unless it is an integer that this entry ``supports``."""
+        dimension = as_integer("dimension", dimension)
         if self.supports(dimension):
-            return
+            return dimension
         if self.fixed_dimension is not None:
             detail = f"only dimension {self.fixed_dimension}"
         else:
@@ -158,36 +163,42 @@ def _scalar(batch):
 _SPECS = (
     BenchmarkSpec(
         name="booth",
+        batch=_pair_batch(booth),
         bounds_per_dim=((-10.0, 10.0), (-10.0, 10.0)),
         known_minimum_value=0.0,
         minimizer_fill=(1.0, 3.0),
     ),
     BenchmarkSpec(
         name="beale",
+        batch=_pair_batch(beale),
         bounds_per_dim=((-4.5, 4.5), (-4.5, 4.5)),
         known_minimum_value=0.0,
         minimizer_fill=(3.0, 0.5),
     ),
     BenchmarkSpec(
         name="goldstein_price",
+        batch=_pair_batch(goldstein_price),
         bounds_per_dim=((-2.0, 2.0), (-2.0, 2.0)),
         known_minimum_value=3.0,
         minimizer_fill=(0.0, -1.0),
     ),
     BenchmarkSpec(
         name="mccormick",
+        batch=_pair_batch(mccormick),
         bounds_per_dim=((-1.5, 4.0), (-3.0, 4.0)),
         known_minimum_value=-1.9133,
         minimizer_fill=(-0.54719, -1.54719),
     ),
     BenchmarkSpec(
         name="three_hump_camel",
+        batch=_pair_batch(three_hump_camel),
         bounds_per_dim=((-5.0, 5.0), (-5.0, 5.0)),
         known_minimum_value=0.0,
         minimizer_fill=(0.0, 0.0),
     ),
     BenchmarkSpec(
         name="sphere",
+        batch=sphere,
         bounds_per_dim=((-100.0, 100.0),),
         known_minimum_value=0.0,
         minimizer_fill=0.0,
@@ -196,6 +207,7 @@ _SPECS = (
     ),
     BenchmarkSpec(
         name="rosenbrock",
+        batch=rosenbrock,
         bounds_per_dim=((-80.0, 80.0),),
         known_minimum_value=0.0,
         minimizer_fill=1.0,
@@ -205,14 +217,6 @@ _SPECS = (
 )
 
 REGISTRY = {spec.name: spec for spec in _SPECS}
-
-# Batch functions map a stack of rows (any leading axes) to one value per row.
-_BATCH_FUNCTIONS = {
-    **{fn.__name__: _pair_batch(fn)
-       for fn in (booth, beale, goldstein_price, mccormick, three_hump_camel)},
-    "sphere": sphere,
-    "rosenbrock": rosenbrock,
-}
 
 
 def benchmark_names() -> list:
@@ -230,20 +234,18 @@ def get_spec(name: str) -> BenchmarkSpec:
 
 
 def get_objective(name: str, dimension: int) -> Objective:
-    """Build a fully populated objective for a registry entry.
+    """Build the objective for a registry entry.
 
-    Raises ValueError for unknown names and for dimensions the entry does not
-    support (the five fixed problems exist only at dimension 2).
+    Raises ValueError for unknown names, for dimensions that are not integers
+    and for dimensions the entry does not support (the five fixed problems
+    exist only at dimension 2).
     """
     spec = get_spec(name)
-    spec.check_dimension(dimension)
-    batch = _BATCH_FUNCTIONS[name]
+    dimension = spec.check_dimension(dimension)
     return Objective(
         name=name,
         dimension=dimension,
         bounds=spec.bounds(dimension),
-        evaluate=_scalar(batch),
-        evaluate_batch=batch,
-        known_minimum_value=spec.known_minimum_value,
-        known_minimizer=spec.minimizer(dimension),
+        evaluate=_scalar(spec.batch),
+        evaluate_batch=spec.batch,
     )

@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--function", action="append",
                        help="benchmark name (repeatable; default: all)")
     run_p.add_argument("--dim", action="append", type=int,
-                       help="dimension (repeatable; default: each function's grid)")
+                       help="dimension (repeatable; each function runs the listed "
+                            "dimensions it supports; default: each function's grid)")
     run_p.add_argument("--seeds", type=int, help="number of consecutive seeds (default 20)")
     run_p.add_argument("--base-seed", type=int, help="first seed (default 1)")
     run_p.add_argument("--particles", type=int, help="population size (default 50)")

@@ -200,7 +200,8 @@ class Objective:
     ``evaluate`` maps a position vector to a scalar fitness and must be pure:
     deterministic, side-effect free, and safe to call from concurrent runs.
     ``evaluate_batch``, when given, must agree with ``evaluate`` row by row
-    and exists only as a vectorization shortcut for the engine.
+    and exists only as a vectorization shortcut for the engine. A registry
+    function's known optimum is kept in its ``benchmarks.BenchmarkSpec``.
     """
 
     name: str
@@ -208,8 +209,6 @@ class Objective:
     bounds: tuple
     evaluate: Callable
     evaluate_batch: Optional[Callable] = None
-    known_minimum_value: Optional[float] = None
-    known_minimizer: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -228,24 +227,6 @@ class Objective:
             limits = np.array([b[column] for b in bounds], dtype=np.float64)
             limits.flags.writeable = False
             object.__setattr__(self, attr, limits)
-        if self.known_minimizer is not None:
-            minimizer = np.asarray(self.known_minimizer, dtype=np.float64)
-            object.__setattr__(self, "known_minimizer", minimizer)
-            if minimizer.shape != (self.dimension,):
-                raise ValueError(
-                    f"known_minimizer has shape {minimizer.shape}, "
-                    f"expected ({self.dimension},)"
-                )
-            lo, hi = self.lower, self.upper
-            if np.any(minimizer < lo) or np.any(minimizer > hi):
-                raise ValueError("known_minimizer lies outside the search bounds")
-            if self.known_minimum_value is not None:
-                got = float(self.evaluate(minimizer))
-                if abs(got - self.known_minimum_value) > 1e-4:
-                    raise ValueError(
-                        f"objective {self.name!r}: evaluate(known_minimizer) = {got}, "
-                        f"expected {self.known_minimum_value} within 1e-4"
-                    )
 
     @property
     def lower(self) -> np.ndarray:
@@ -293,7 +274,6 @@ class SwarmState:
     best_fitness: float
     best_vorticity: float
     best_index: int
-    iteration: int = 0
     evaluations: int = 0
     mean_fitness: float = math.nan
 

@@ -51,9 +51,8 @@ class RunTrace:
     """Columnar trace of a whole run, one array per column: row 0 is the
     initialized swarm and row k the swarm after iteration k."""
 
-    def __init__(self, iteration, best_fitness_so_far, mean_fitness, vortex_count,
+    def __init__(self, best_fitness_so_far, mean_fitness, vortex_count,
                  eliminations_triggered, non_finite_evals):
-        self.iteration = np.asarray(iteration, dtype=np.int64)
         self.best_fitness_so_far = np.asarray(best_fitness_so_far, dtype=np.float64)
         self.mean_fitness = np.asarray(mean_fitness, dtype=np.float64)
         self.vortex_count = np.asarray(vortex_count, dtype=np.int64)
@@ -61,7 +60,12 @@ class RunTrace:
         self.non_finite_evals = np.asarray(non_finite_evals, dtype=np.int64)
 
     def __len__(self):
-        return self.iteration.shape[0]
+        return self.best_fitness_so_far.shape[0]
+
+    @property
+    def iteration(self) -> np.ndarray:
+        """The row numbers: row k is the swarm after iteration k."""
+        return np.arange(len(self))
 
 
 @dataclass(eq=False)
@@ -176,7 +180,6 @@ def initialize_swarm(config: VoaConfig, objective: Objective, rng: RandomSource)
         best_fitness=float(fitness[best_index]),
         best_vorticity=float(vorticity[best_index]),
         best_index=best_index,
-        iteration=0,
         evaluations=n,
     )
 
@@ -278,7 +281,6 @@ def advance_iteration(state: SwarmState, config: VoaConfig, objective: Objective
 
     non_finite = refresh_fitness_and_best(state, objective)
     eliminated = eliminate_and_respawn(state, config, objective, rng)
-    state.iteration += 1
     return eliminated, non_finite
 
 
@@ -294,40 +296,25 @@ def run(config: VoaConfig, objective: Objective) -> RunReport:
     rng = RandomSource(config.seed)
     state = initialize_swarm(config, objective, rng)
 
-    steps = config.max_iterations
-    trace_best = np.zeros(steps + 1, dtype=np.float64)
-    trace_mean = np.zeros(steps + 1, dtype=np.float64)
-    trace_vortex = np.zeros(steps + 1, dtype=np.int64)
-    trace_elim = np.zeros(steps + 1, dtype=bool)
-    trace_nonfin = np.zeros(steps + 1, dtype=np.int64)
-
-    trace_best[0] = state.best_fitness
-    trace_vortex[0] = np.count_nonzero(state.is_vortex)
-    trace_nonfin[0] = int(np.count_nonzero(np.isinf(state.fitness)))
-
-    executed = 0
-    for k in range(1, steps + 1):
-        eliminated, non_finite = advance_iteration(state, config, objective, rng)
-        executed = k
-        # Marking in iteration k averaged the fitness that iteration k - 1 left.
-        trace_mean[k - 1] = state.mean_fitness
-        trace_best[k] = state.best_fitness
-        trace_vortex[k] = np.count_nonzero(state.is_vortex)
-        trace_elim[k] = eliminated
-        trace_nonfin[k] = non_finite
+    # One row per trace column is appended as each iteration finishes.
+    best = [state.best_fitness]
+    mean = []
+    vortex = [np.count_nonzero(state.is_vortex)]
+    eliminated = [False]
+    non_finite = [np.count_nonzero(np.isinf(state.fitness))]
+    for _ in range(config.max_iterations):
+        triggered, bad_evals = advance_iteration(state, config, objective, rng)
+        # Marking in this iteration averaged the fitness the previous one left.
+        mean.append(state.mean_fitness)
+        best.append(state.best_fitness)
+        vortex.append(np.count_nonzero(state.is_vortex))
+        eliminated.append(triggered)
+        non_finite.append(bad_evals)
         if config.target_fitness is not None and state.best_fitness <= config.target_fitness:
             break
-    trace_mean[executed] = state.fitness.mean()
+    mean.append(state.fitness.mean())
+    trace = RunTrace(best, mean, vortex, eliminated, non_finite)
 
-    end = executed + 1
-    trace = RunTrace(
-        iteration=np.arange(end),
-        best_fitness_so_far=trace_best[:end],
-        mean_fitness=trace_mean[:end],
-        vortex_count=trace_vortex[:end],
-        eliminations_triggered=trace_elim[:end],
-        non_finite_evals=trace_nonfin[:end],
-    )
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return RunReport(
         function=objective.name,
@@ -336,7 +323,7 @@ def run(config: VoaConfig, objective: Objective) -> RunReport:
         best_fitness=state.best_fitness,
         best_position=state.best_position.copy(),
         evaluations=state.evaluations,
-        iterations=executed,
+        iterations=len(trace) - 1,
         wall_time_ms=wall_ms,
         config=config,
         trace=trace,

@@ -84,6 +84,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.functions:
             raise ValueError("plan selects no benchmark functions")
+        if len(set(self.functions)) != len(self.functions):
+            raise ValueError("functions must be pairwise distinct")
         if not self.seeds:
             raise ValueError("plan needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
@@ -97,6 +99,8 @@ class ExperimentPlan:
                 raise ValueError(f"no dimensions selected for {name!r}")
             for d in dims:
                 spec.check_dimension(d)
+            if len(set(dims)) != len(dims):
+                raise ValueError(f"dimensions of {name!r} must be pairwise distinct")
 
     def cells(self) -> list:
         return [(f, d) for f in self.functions for d in self.dimensions[f]]
@@ -112,15 +116,26 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
 
     With no arguments this is the full reporting grid: every registry function
     at its grid dimensions, 20 consecutive seeds starting at 1, standard
-    configuration.
+    configuration. ``dims``, when given, is shared out: each function runs
+    the listed dimensions it supports. A function that supports none of them,
+    or a listed dimension that no function supports, raises the registry's
+    ``check_dimension`` error.
     """
     if functions is None:
         functions = benchmark_names()
     functions = tuple(functions)
-    dimensions = {}
-    for name in functions:
-        spec = get_spec(name)
-        dimensions[name] = tuple(dims) if dims else spec.grid_dimensions
+    specs = [get_spec(name) for name in functions]
+    if dims:
+        dims = [as_integer("dimension", d) for d in dims]
+        dimensions = {s.name: tuple(d for d in dims if s.supports(d)) for s in specs}
+        for spec in specs:
+            if not dimensions[spec.name]:
+                spec.check_dimension(dims[0])
+        for d in dims:
+            if specs and not any(spec.supports(d) for spec in specs):
+                specs[0].check_dimension(d)
+    else:
+        dimensions = {s.name: s.grid_dimensions for s in specs}
     base = as_seed("base_seed", DEFAULT_BASE_SEED if base_seed is None else base_seed)
     count = as_integer("seed_count", DEFAULT_SEED_COUNT if seed_count is None else seed_count)
     if count < 1:
@@ -312,7 +327,7 @@ def write_reports(reports, summaries, plan: ExperimentPlan) -> dict:
             rows = [TRACE_HEADER]
             for i in range(len(t)):
                 rows.append(
-                    f"{int(t.iteration[i])},{_sci(t.best_fitness_so_far[i])},"
+                    f"{i},{_sci(t.best_fitness_so_far[i])},"
                     f"{_sci(t.mean_fitness[i])},{int(t.vortex_count[i])},"
                     f"{int(t.eliminations_triggered[i])}"
                 )

@@ -107,7 +107,6 @@ def run_with_invariant_checks(config: VoaConfig, objective):
             assert np.array_equal(state.is_vortex, pre_vortex)
         else:
             assert np.array_equal(state.positions, pre_positions)
-        state.iteration += 1
 
     report = run(config, objective)
     assert report.best_fitness == state.best_fitness

@@ -115,10 +115,14 @@ class TestCriterion06BenchmarkOracles:
 
     def test_known_minima_reproduce(self):
         for name in benchmark_names():
-            obj = get_objective(name, get_spec(name).grid_dimensions[0])
-            got = obj.evaluate(obj.known_minimizer)
-            assert got == pytest.approx(obj.known_minimum_value, abs=1e-4)
-        _report("criterion 6", True, "all seven known minima reproduce within 1e-4")
+            spec = get_spec(name)
+            for d in spec.grid_dimensions:
+                minimizer = spec.minimizer(d)
+                assert minimizer.shape == (d,)
+                got = get_objective(name, d).evaluate(minimizer)
+                assert got == pytest.approx(spec.known_minimum_value, abs=1e-4)
+        _report("criterion 6", True,
+                "all seven known minima reproduce within 1e-4 at every grid dimension")
 
 
 class TestCriterion07UpdateRuleExamples:

@@ -110,24 +110,30 @@ class TestOracleAgreement:
 
 
 class TestKnownMinima:
+    """The registry's optima, at every grid dimension of each function."""
+
     @pytest.mark.parametrize("name", benchmark_names())
     def test_minimizer_reproduces_minimum(self, name):
-        d = get_spec(name).grid_dimensions[0]
-        obj = get_objective(name, d)
-        value = obj.evaluate(obj.known_minimizer)
-        assert value == pytest.approx(obj.known_minimum_value, abs=1e-4)
+        spec = get_spec(name)
+        for d in spec.grid_dimensions:
+            minimizer = spec.minimizer(d)
+            assert minimizer.shape == (d,)
+            value = get_objective(name, d).evaluate(minimizer)
+            assert value == pytest.approx(spec.known_minimum_value, abs=1e-4)
 
     @pytest.mark.parametrize("name", benchmark_names())
     def test_minimizer_lies_inside_bounds(self, name):
-        d = get_spec(name).grid_dimensions[0]
-        obj = get_objective(name, d)
-        assert np.all(obj.known_minimizer >= obj.lower)
-        assert np.all(obj.known_minimizer <= obj.upper)
+        spec = get_spec(name)
+        for d in spec.grid_dimensions:
+            obj = get_objective(name, d)
+            minimizer = spec.minimizer(d)
+            assert np.all(minimizer >= obj.lower)
+            assert np.all(minimizer <= obj.upper)
 
     @pytest.mark.parametrize("name", benchmark_names())
     def test_local_minimality_ring(self, name):
         obj = get_objective(name, 2)
-        center = obj.known_minimizer
+        center = get_spec(name).minimizer(2)
         base = obj.evaluate(center)
         for k in range(8):
             angle = 2.0 * math.pi * k / 8.0
@@ -149,6 +155,11 @@ class TestSymmetries:
 
 
 class TestRegistry:
+    @pytest.mark.parametrize("dimension", [2.0, True, "2"])
+    def test_non_integer_dimension_rejected(self, dimension):
+        with pytest.raises(ValueError, match="^dimension must be an integer"):
+            get_objective("sphere", dimension)
+
     def test_names_in_reporting_order(self):
         assert benchmark_names() == [
             "booth", "beale", "goldstein_price", "mccormick",

@@ -28,6 +28,20 @@ class TestParsePlan:
         assert plan.cells() == [("sphere", 2), ("sphere", 5),
                                 ("rosenbrock", 2), ("rosenbrock", 5)]
 
+    def test_each_function_runs_the_listed_dimensions_it_supports(self):
+        plan, _ = parse_plan(["--function", "booth", "--function", "sphere",
+                              "--dim", "2", "--dim", "5"])
+        assert plan.cells() == [("booth", 2), ("sphere", 2), ("sphere", 5)]
+
+    @pytest.mark.parametrize("argv", [
+        ["--function", "booth", "--dim", "2", "--dim", "5"],
+        ["--function", "booth", "--function", "beale", "--dim", "2", "--dim", "5"],
+        ["--function", "booth", "--function", "sphere", "--dim", "5", "--dim", "10"],
+    ])
+    def test_dimension_that_no_function_can_run_raises(self, argv):
+        with pytest.raises(ValueError, match="benchmark 'booth' supports only dimension 2"):
+            parse_plan(argv)
+
     def test_unsupported_dimension_raises(self):
         with pytest.raises(ValueError, match="booth"):
             parse_plan(["--function", "booth", "--dim", "7"])

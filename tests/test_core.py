@@ -231,23 +231,6 @@ class TestObjective:
         with pytest.raises(ValueError):
             Objective(name="bad", dimension=3, bounds=((0.0, 1.0),) * 2, evaluate=lambda p: 0.0)
 
-    def test_minimizer_must_lie_inside_bounds(self):
-        with pytest.raises(ValueError):
-            Objective(
-                name="bad", dimension=1, bounds=((0.0, 1.0),),
-                evaluate=lambda p: float(p[0]),
-                known_minimizer=np.array([5.0]),
-            )
-
-    def test_minimizer_value_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            Objective(
-                name="bad", dimension=1, bounds=((-1.0, 1.0),),
-                evaluate=lambda p: float(p[0] ** 2),
-                known_minimum_value=1.0,
-                known_minimizer=np.array([0.0]),
-            )
-
     def test_evaluation_is_bit_stable(self):
         obj = self._quadratic()
         point = np.array([0.3333333333333333, -1.7777777777777])

@@ -230,6 +230,16 @@ class TestRun:
         assert len(trace) == 21
         np.testing.assert_array_equal(trace.iteration, np.arange(21))
 
+    def test_early_stopped_trace_holds_only_the_rows_that_ran(self):
+        objective = get_objective("booth", 2)
+        report = run(VoaConfig(max_iterations=5000, seed=11, target_fitness=1e-8), objective)
+        assert 0 < report.iterations < 5000
+        for column in ("iteration", "best_fitness_so_far", "mean_fitness", "vortex_count",
+                       "eliminations_triggered", "non_finite_evals"):
+            values = getattr(report.trace, column)
+            assert values.shape == (report.iterations + 1,), column
+            assert values.base is None, column
+
     def test_same_seed_identical_reports(self):
         objective = get_objective("rosenbrock", 5)
         config = VoaConfig(max_iterations=150, seed=13)

@@ -11,17 +11,15 @@ stdout before hashing.
 import contextlib
 import hashlib
 import io
-from dataclasses import replace
 
 import pytest
 
 import vortexopt.cli as cli
 from helpers import strip_wall_column
 
-RUN_ARGS = ["--function", "booth", "--function", "sphere", "--dim", "2", "--seeds", "2",
-            "--iterations", "50", "--jobs", "1"]
-# booth exists only at d=2, so the sphere d=5 cell is added after parsing.
-DIMENSIONS = {"booth": (2,), "sphere": (2, 5)}
+# booth exists only at d=2, so it runs d=2 alone and sphere runs both.
+RUN_ARGS = ["--function", "booth", "--function", "sphere", "--dim", "2", "--dim", "5",
+            "--seeds", "2", "--iterations", "50", "--jobs", "1"]
 
 # Recorded before the particle views, trace rows, RNG wrappers, duplicate
 # reference table and second grid renderer were removed.
@@ -43,26 +41,15 @@ def _sha(text: str) -> str:
 def outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden_reports")
     out, traces = root / "res", root / "traces"
-    real = cli.plan_from_args
-
-    def with_sphere_d5(ns):
-        plan, jobs = real(ns)
-        return replace(plan, dimensions=DIMENSIONS), jobs
-
-    capture = pytest.MonkeyPatch()
-    capture.setattr(cli, "plan_from_args", with_sphere_d5)
     stdout = {}
-    try:
-        for name, argv, code in (
-            ("run_stdout", ["run", *RUN_ARGS, "--out", str(out), "--trace-dir", str(traces)], 0),
-            ("check_stdout", ["check", "--out", str(out)], 0),
-        ):
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-                assert cli.main(argv) == code
-            stdout[name] = buf.getvalue().replace(str(root), "<out>")
-    finally:
-        capture.undo()
+    for name, argv, code in (
+        ("run_stdout", ["run", *RUN_ARGS, "--out", str(out), "--trace-dir", str(traces)], 0),
+        ("check_stdout", ["check", "--out", str(out)], 0),
+    ):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == code
+        stdout[name] = buf.getvalue().replace(str(root), "<out>")
     return {
         "runs.csv": strip_wall_column((out / "runs.csv").read_text(encoding="utf-8")),
         "summary.csv": (out / "summary.csv").read_text(encoding="utf-8"),

@@ -111,6 +111,29 @@ class TestMakePlan:
             ExperimentPlan(functions=("booth",), dimensions={"booth": (2,)},
                            seeds=(1, 2.5), config=VoaConfig(), out_dir=tmp_path)
 
+    @pytest.mark.parametrize("dims", [[2.0], [2, 5.0], [True], ["2"]])
+    def test_non_integer_dimensions_rejected(self, tmp_path, dims):
+        with pytest.raises(ValueError, match="^dimension must be an integer"):
+            make_plan(functions=["booth", "sphere"], dims=dims, out_dir=tmp_path)
+
+    def test_plan_built_directly_checks_its_dimensions(self, tmp_path):
+        with pytest.raises(ValueError, match="^dimension must be an integer"):
+            ExperimentPlan(functions=("sphere",), dimensions={"sphere": (2.0,)},
+                           seeds=(1,), config=VoaConfig(), out_dir=tmp_path)
+
+    def test_numpy_integer_dimensions_accepted(self, tmp_path):
+        plan = make_plan(functions=["sphere"], dims=[np.int64(2), np.uint8(5)],
+                         out_dir=tmp_path)
+        assert plan.cells() == [("sphere", 2), ("sphere", 5)]
+
+    def test_duplicate_functions_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="functions must be pairwise distinct"):
+            make_plan(functions=["sphere", "sphere"], dims=[2], out_dir=tmp_path)
+
+    def test_duplicate_dimensions_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="dimensions of 'sphere' must be pairwise distinct"):
+            make_plan(functions=["sphere"], dims=[2, 2], out_dir=tmp_path)
+
     def test_unknown_function_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown"):
             make_plan(functions=["nope"], out_dir=tmp_path)

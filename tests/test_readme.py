@@ -1,0 +1,45 @@
+"""The README's examples run as written.
+
+The Library block is executed, and the ``example.cfg`` block is parsed by
+the CLI's ``--config`` path.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+from vortexopt.cli import parse_plan
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _blocks(language: str) -> list:
+    """The bodies of the README's fenced blocks tagged ``language``."""
+    blocks, tag, body = [], None, []
+    for line in README.read_text(encoding="utf-8").splitlines(keepends=True):
+        if not line.startswith("```"):
+            body.append(line)
+        elif tag is None:
+            tag, body = line[3:].strip(), []
+        else:
+            if tag == language:
+                blocks.append("".join(body))
+            tag = None
+    return blocks
+
+
+def test_library_example_runs():
+    (code,) = _blocks("python")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(code, str(README), "exec"), {})
+    assert out.getvalue()
+
+
+def test_config_example_parses(tmp_path):
+    (cfg,) = [b for b in _blocks("") if b.startswith("# example.cfg\n")]
+    path = tmp_path / "example.cfg"
+    path.write_text(cfg, encoding="utf-8")
+    plan, _ = parse_plan(["--config", str(path)])
+    assert plan.cells() == [("booth", 2), ("sphere", 2), ("sphere", 5)]
+    assert plan.seeds == tuple(range(1, 11))
+    assert plan.config.max_iterations == 2000
