@@ -2,17 +2,25 @@
 
 Settings merge with precedence CLI flag > config file > defaults. The config
 file is flat ``key = value`` text whose keys are exactly the long flag names
-(``function`` and ``dim`` accept comma-separated lists).
+(``function`` and ``dim`` accept comma-separated lists). ``RUN_SETTINGS``
+declares each ``run`` setting once for the parser, the file and the plan.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 from .benchmarks import REGISTRY, benchmark_names
+from .core import VoaConfig
 from .harness import (
+    DEFAULT_BASE_SEED,
+    DEFAULT_OUT_DIR,
+    DEFAULT_SEED_COUNT,
     evaluate_checks,
     execute_plan,
     make_plan,
@@ -22,16 +30,60 @@ from .harness import (
     write_reports,
 )
 
-_LIST_KEYS = {"function", "dim"}
-_INT_KEYS = {"seeds", "base-seed", "particles", "iterations", "elimination", "jobs"}
-_FLOAT_KEYS = {"init-vorticity", "max-vorticity", "min-vorticity", "pull-epsilon",
-               "target-fitness"}
-_STR_KEYS = {"out", "trace-dir", "draw-mode"}
-_CONFIG_KEYS = _LIST_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+_DEFAULT = VoaConfig()
+
+
+def _draw_mode(text: str) -> bool:
+    """``VoaConfig.per_coordinate_draws`` for a draw-mode name."""
+    if text not in ("coordinate", "shared"):
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from 'coordinate', 'shared')")
+    return text == "coordinate"
+
+
+class Setting(NamedTuple):
+    """A ``run`` setting: its long flag, which is also its config-file key;
+    the parser of one text value; the ``VoaConfig`` field it sets (None for a
+    plan setting); its help, where ``{default}`` stands for that field's
+    default; and whether it takes a list of values."""
+
+    flag: str
+    parse: Callable
+    field: Optional[str]
+    help: str
+    repeat: bool = False
+
+
+RUN_SETTINGS = {s.flag: s for s in (
+    Setting("function", str, None, "benchmark name (repeatable; default: all)", repeat=True),
+    Setting("dim", int, None, "dimension (repeatable; each function runs the listed "
+            "dimensions it supports; default: each function's grid)", repeat=True),
+    Setting("seeds", int, None, f"number of consecutive seeds (default {DEFAULT_SEED_COUNT})"),
+    Setting("base-seed", int, None, f"first seed (default {DEFAULT_BASE_SEED})"),
+    Setting("particles", int, "n_particles", "population size (default {default})"),
+    Setting("iterations", int, "max_iterations", "iteration budget (default {default})"),
+    Setting("init-vorticity", float, "initial_vorticity", "initial vorticity (default {default})"),
+    Setting("max-vorticity", float, "max_vorticity", "vorticity upper clamp (default {default})"),
+    Setting("min-vorticity", float, "min_vorticity",
+            "vorticity lower clamp (default: negated upper clamp)"),
+    Setting("elimination", int, "elimination_threshold", "respawn all normal particles when "
+            "their count is at or below this (default {default})"),
+    Setting("pull-epsilon", float, "pull_epsilon",
+            "divisor guard in the vorticity pull (default {default:g})"),
+    Setting("draw-mode", _draw_mode, "per_coordinate_draws", "position-update randomness: "
+            "one draw per coordinate (coordinate) or per particle (shared); default: "
+            + ("coordinate" if _DEFAULT.per_coordinate_draws else "shared")),
+    Setting("target-fitness", float, "target_fitness",
+            "stop a run early once the best reaches this value"),
+    Setting("jobs", int, None, "parallel runs, at least 1 (default: usable CPUs)"),
+    Setting("out", str, None, f"output directory (default: {DEFAULT_OUT_DIR})"),
+    Setting("trace-dir", str, None, "also write per-run convergence traces here"),
+)}
 
 
 def load_config_file(path) -> dict:
-    """Parse a flat key=value settings file; rejects unknown keys."""
+    """Parse a flat key=value settings file into ``{flag: value}``; rejects
+    unknown keys and values that do not parse, naming the line."""
     options = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -40,24 +92,18 @@ def load_config_file(path) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in RUN_SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if not value:
             raise ValueError(f"{path}:{lineno}: empty value for {key!r}")
+        setting = RUN_SETTINGS[key]
         try:
-            if key in _LIST_KEYS:
-                parts = [p.strip() for p in value.split(",") if p.strip()]
-                options[key] = [int(p) for p in parts] if key == "dim" else parts
-            elif key in _INT_KEYS:
-                options[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                options[key] = float(value)
+            if setting.repeat:
+                options[key] = [setting.parse(p.strip()) for p in value.split(",") if p.strip()]
             else:
-                options[key] = value
-        except ValueError as exc:
+                options[key] = setting.parse(value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return options
 
@@ -70,89 +116,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute an experiment plan")
-    run_p.add_argument("--function", action="append",
-                       help="benchmark name (repeatable; default: all)")
-    run_p.add_argument("--dim", action="append", type=int,
-                       help="dimension (repeatable; each function runs the listed "
-                            "dimensions it supports; default: each function's grid)")
-    run_p.add_argument("--seeds", type=int, help="number of consecutive seeds (default 20)")
-    run_p.add_argument("--base-seed", type=int, help="first seed (default 1)")
-    run_p.add_argument("--particles", type=int, help="population size (default 50)")
-    run_p.add_argument("--iterations", type=int, help="iteration budget (default 5000)")
-    run_p.add_argument("--init-vorticity", type=float, help="starting vorticity (default 0.5)")
-    run_p.add_argument("--max-vorticity", type=float, help="vorticity upper clamp (default 7.0)")
-    run_p.add_argument("--min-vorticity", type=float,
-                       help="vorticity lower clamp (default: negated upper clamp)")
-    run_p.add_argument("--elimination", type=int,
-                       help="respawn all normal particles when their count is at or "
-                            "below this (default 50)")
-    run_p.add_argument("--pull-epsilon", type=float,
-                       help="divisor guard in the vorticity pull (default 1e-9)")
-    run_p.add_argument("--draw-mode", choices=("coordinate", "shared"),
-                       help="position-update randomness: per coordinate (default) or "
-                            "one draw shared across coordinates")
-    run_p.add_argument("--target-fitness", type=float,
-                       help="stop a run early once the best reaches this value")
-    run_p.add_argument("--jobs", type=int, help="parallel runs (default: usable CPUs)")
-    run_p.add_argument("--out", help="output directory (default: results)")
-    run_p.add_argument("--trace-dir", help="also write per-run convergence traces here")
+    for s in RUN_SETTINGS.values():
+        default = getattr(_DEFAULT, s.field) if s.field else None
+        run_p.add_argument(f"--{s.flag}", action="append" if s.repeat else "store",
+                           type=s.parse, help=s.help.format(default=default))
     run_p.add_argument("--config", help="settings file merged below CLI flags")
 
     check_p = sub.add_parser("check", help="compare results against the reference table")
-    check_p.add_argument("--out", default="results",
-                         help="directory containing runs.csv (default: results)")
+    check_p.add_argument("--out", default=DEFAULT_OUT_DIR,
+                         help=f"directory containing runs.csv (default: {DEFAULT_OUT_DIR})")
 
     sub.add_parser("list", help="print the benchmark registry")
     return parser
 
 
-def _merged(cli_value, file_options, key, default=None):
-    if cli_value is not None:
-        return cli_value
-    return file_options.get(key, default)
-
-
 def plan_from_args(ns) -> tuple:
     """Build (plan, jobs) from parsed run-subcommand arguments."""
     file_options = load_config_file(ns.config) if ns.config else {}
-
-    overrides = {}
-    for flag, field in (
-        ("particles", "n_particles"),
-        ("iterations", "max_iterations"),
-        ("init_vorticity", "initial_vorticity"),
-        ("max_vorticity", "max_vorticity"),
-        ("min_vorticity", "min_vorticity"),
-        ("elimination", "elimination_threshold"),
-        ("pull_epsilon", "pull_epsilon"),
-        ("target_fitness", "target_fitness"),
-    ):
-        value = _merged(getattr(ns, flag), file_options, flag.replace("_", "-"))
-        if value is not None:
-            overrides[field] = value
-    draw_mode = _merged(ns.draw_mode, file_options, "draw-mode")
-    if draw_mode is not None:
-        if draw_mode not in ("coordinate", "shared"):
-            raise ValueError(f"draw-mode must be 'coordinate' or 'shared', got {draw_mode!r}")
-        overrides["per_coordinate_draws"] = draw_mode == "coordinate"
-
+    values = {}
+    for flag in RUN_SETTINGS:
+        value = getattr(ns, flag.replace("-", "_"))
+        values[flag] = file_options.get(flag) if value is None else value
+    overrides = {s.field: values[s.flag] for s in RUN_SETTINGS.values()
+                 if s.field is not None and values[s.flag] is not None}
     plan = make_plan(
-        functions=_merged(ns.function, file_options, "function"),
-        dims=_merged(ns.dim, file_options, "dim"),
-        seed_count=_merged(ns.seeds, file_options, "seeds"),
-        base_seed=_merged(ns.base_seed, file_options, "base-seed"),
+        functions=values["function"],
+        dims=values["dim"],
+        seed_count=values["seeds"],
+        base_seed=values["base-seed"],
         config_overrides=overrides,
-        out_dir=_merged(ns.out, file_options, "out", "results"),
-        trace_dir=_merged(ns.trace_dir, file_options, "trace-dir"),
+        out_dir=values["out"],
+        trace_dir=values["trace-dir"],
     )
-    jobs = _merged(ns.jobs, file_options, "jobs")
-    return plan, jobs
+    return plan, values["jobs"]
 
 
 def parse_plan(argv) -> tuple:
     """Parse ``run`` subcommand arguments into (plan, jobs); raises on bad input."""
-    ns = build_parser().parse_args(["run", *argv])
-    return plan_from_args(ns)
+    return plan_from_args(build_parser().parse_args(["run", *argv]))
 
 
 def _print_summary_table(summaries):
@@ -199,6 +200,14 @@ def _cmd_check(ns) -> int:
     if not results:
         print("error: no checkable cells in the results", file=sys.stderr)
         return 2
+    summary_path = Path(ns.out) / "summary.json"
+    if summary_path.exists():
+        config = json.loads(summary_path.read_text(encoding="utf-8"))["config"]
+        differing = [f"{name}={config.get(name)}" for name, value in asdict(_DEFAULT).items()
+                     if name != "seed" and config.get(name) != value]
+        if differing:
+            print(f"warning: the results were run with {', '.join(differing)}; the reference "
+                  "table is for the default configuration", file=sys.stderr)
     any_fail = False
     for res in results:
         verdict = "PASS" if res.passed else "FAIL"
@@ -234,9 +243,6 @@ def main(argv=None) -> int:
         if ns.command == "check":
             return _cmd_check(ns)
         return _cmd_list(ns)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

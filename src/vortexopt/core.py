@@ -200,7 +200,8 @@ class Objective:
     ``evaluate`` maps a position vector to a scalar fitness and must be pure:
     deterministic, side-effect free, and safe to call from concurrent runs.
     ``evaluate_batch``, when given, must agree with ``evaluate`` row by row
-    and exists only as a vectorization shortcut for the engine. A registry
+    and exists only as a vectorization shortcut for the engine. ``dimension``
+    must be an integer (Python or numpy, stored as ``int``). A registry
     function's known optimum is kept in its ``benchmarks.BenchmarkSpec``.
     """
 
@@ -211,6 +212,7 @@ class Objective:
     evaluate_batch: Optional[Callable] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "dimension", as_integer("dimension", self.dimension))
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)

@@ -9,6 +9,7 @@ byte-identical files (wall time aside).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -46,6 +47,7 @@ TRACE_HEADER = "iteration,best_fitness,mean_fitness,vortex_count,eliminated"
 
 DEFAULT_SEED_COUNT = 20
 DEFAULT_BASE_SEED = 1
+DEFAULT_OUT_DIR = "results"
 
 # Published single-number results, keyed by (function, dimension), with the
 # tolerance rule `check` applies to each: (reference value, rule, tolerance).
@@ -72,9 +74,12 @@ REFERENCE_RESULTS = {
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A validated grid of runs plus the configuration they share."""
+    """A validated grid of runs plus the configuration they share.
 
-    functions: tuple
+    ``dimensions`` maps each selected function, in plan order, to its
+    dimensions.
+    """
+
     dimensions: dict
     seeds: tuple
     config: VoaConfig
@@ -82,19 +87,16 @@ class ExperimentPlan:
     trace_dir: Optional[Path] = None
 
     def __post_init__(self):
-        if not self.functions:
+        if not self.dimensions:
             raise ValueError("plan selects no benchmark functions")
-        if len(set(self.functions)) != len(self.functions):
-            raise ValueError("functions must be pairwise distinct")
         if not self.seeds:
             raise ValueError("plan needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be pairwise distinct")
         for seed in self.seeds:
             as_seed("seed", seed)
-        for name in self.functions:
+        for name, dims in self.dimensions.items():
             spec = get_spec(name)
-            dims = self.dimensions.get(name, ())
             if not dims:
                 raise ValueError(f"no dimensions selected for {name!r}")
             for d in dims:
@@ -103,7 +105,7 @@ class ExperimentPlan:
                 raise ValueError(f"dimensions of {name!r} must be pairwise distinct")
 
     def cells(self) -> list:
-        return [(f, d) for f in self.functions for d in self.dimensions[f]]
+        return [(f, d) for f, dims in self.dimensions.items() for d in dims]
 
     @property
     def n_runs(self) -> int:
@@ -111,20 +113,19 @@ class ExperimentPlan:
 
 
 def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
-              config_overrides=None, out_dir="results", trace_dir=None) -> ExperimentPlan:
+              config_overrides=None, out_dir=None, trace_dir=None) -> ExperimentPlan:
     """Assemble a plan, filling anything unspecified with the defaults.
 
     With no arguments this is the full reporting grid: every registry function
     at its grid dimensions, 20 consecutive seeds starting at 1, standard
-    configuration. ``dims``, when given, is shared out: each function runs
-    the listed dimensions it supports. A function that supports none of them,
-    or a listed dimension that no function supports, raises the registry's
-    ``check_dimension`` error.
+    configuration, reports in ``DEFAULT_OUT_DIR``. ``dims``, when given, is
+    shared out: each function runs the listed dimensions it supports. A
+    function that supports none of them, or a listed dimension that no
+    function supports, raises the registry's ``check_dimension`` error.
     """
-    if functions is None:
-        functions = benchmark_names()
-    functions = tuple(functions)
-    specs = [get_spec(name) for name in functions]
+    specs = [get_spec(name) for name in (benchmark_names() if functions is None else functions)]
+    if len({spec.name for spec in specs}) != len(specs):
+        raise ValueError("functions must be pairwise distinct")
     if dims:
         dims = [as_integer("dimension", d) for d in dims]
         dimensions = {s.name: tuple(d for d in dims if s.supports(d)) for s in specs}
@@ -140,14 +141,11 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
     count = as_integer("seed_count", DEFAULT_SEED_COUNT if seed_count is None else seed_count)
     if count < 1:
         raise ValueError(f"seed count must be >= 1, got {count}")
-    seeds = tuple(range(base, base + count))
-    config = VoaConfig(**(config_overrides or {}))
     return ExperimentPlan(
-        functions=functions,
         dimensions=dimensions,
-        seeds=seeds,
-        config=config,
-        out_dir=Path(out_dir),
+        seeds=tuple(range(base, base + count)),
+        config=VoaConfig(**(config_overrides or {})),
+        out_dir=Path(DEFAULT_OUT_DIR if out_dir is None else out_dir),
         trace_dir=Path(trace_dir) if trace_dir else None,
     )
 
@@ -186,29 +184,27 @@ def execute_plan(plan: ExperimentPlan, jobs=None, progress=None) -> list:
 
     Runs execute concurrently across processes when ``jobs`` exceeds one
     (default: the usable CPU count); each run owns its full state and random
-    stream, so results and their order do not depend on scheduling.
-    ``progress`` is called with each finished report in plan order.
+    stream, so results and their order do not depend on scheduling. One job,
+    or a one-run plan, runs in this process. ``jobs`` below 1 or not an
+    integer raises ValueError before any run starts. ``progress`` is called
+    with each finished report in plan order.
     """
+    jobs = _usable_cpus() if jobs is None else as_integer("jobs", jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [
         (name, dim, replace(plan.config, seed=seed))
         for name, dim in plan.cells()
         for seed in plan.seeds
     ]
-    if jobs is None:
-        jobs = _usable_cpus()
+    in_process = jobs == 1 or len(tasks) <= 1
+    pool = contextlib.nullcontext() if in_process else ProcessPoolExecutor(max_workers=jobs)
     reports = []
-    if jobs <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            report = _run_cell(task)
+    with pool:
+        for report in (map if in_process else pool.map)(_run_cell, tasks):
             if progress is not None:
                 progress(report)
             reports.append(report)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for report in pool.map(_run_cell, tasks):
-                if progress is not None:
-                    progress(report)
-                reports.append(report)
     return reports
 
 
@@ -233,17 +229,12 @@ def summarize(reports: Iterable[RunReport]) -> list:
     runs is dropped entirely.
     """
     groups = {}
-    order = []
     for report in reports:
-        key = (report.function, report.dimension)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
+        bests = groups.setdefault((report.function, report.dimension), [])
         if report.error is None and np.isfinite(report.best_fitness):
-            groups[key].append(report.best_fitness)
+            bests.append(report.best_fitness)
     rows = []
-    for key in order:
-        bests = groups[key]
+    for key, bests in groups.items():
         if not bests:
             continue
         arr = np.asarray(bests, dtype=np.float64)

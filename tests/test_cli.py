@@ -1,8 +1,37 @@
+import re
+
 import numpy as np
 import pytest
 
-from vortexopt.cli import load_config_file, main, parse_plan
-from vortexopt.harness import RUNS_HEADER
+import vortexopt.harness as harness
+from vortexopt.cli import RUN_SETTINGS, build_parser, load_config_file, main, parse_plan
+from vortexopt.harness import (
+    RUNS_HEADER,
+    make_plan,
+    read_runs_csv,
+    summarize,
+    write_reports,
+)
+
+# One or more text values per run setting; repeatable settings take two.
+SAMPLES = {
+    "function": ["sphere", "booth"],
+    "dim": ["2", "5"],
+    "seeds": ["3"],
+    "base-seed": ["7"],
+    "particles": ["12"],
+    "iterations": ["40"],
+    "init-vorticity": ["0.25"],
+    "max-vorticity": ["3.5"],
+    "min-vorticity": ["-2.5"],
+    "elimination": ["6"],
+    "pull-epsilon": ["1e-6"],
+    "draw-mode": ["shared"],
+    "target-fitness": ["1e-8"],
+    "jobs": ["2"],
+    "out": ["res"],
+    "trace-dir": ["traces"],
+}
 
 
 class TestParsePlan:
@@ -106,6 +135,45 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="bad value"):
             load_config_file(cfg)
 
+    def test_bad_draw_mode_names_its_line_and_both_modes(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("seeds = 2\ndraw-mode = bogus\n")
+        with pytest.raises(ValueError, match=re.escape(f"{cfg}:2: bad value for 'draw-mode'")) \
+                as excinfo:
+            load_config_file(cfg)
+        assert "'coordinate'" in str(excinfo.value)
+        assert "'shared'" in str(excinfo.value)
+
+
+class TestRunSettings:
+    def test_every_setting_has_a_sample(self):
+        assert set(SAMPLES) == set(RUN_SETTINGS)
+
+    @pytest.mark.parametrize("setting", RUN_SETTINGS.values(), ids=lambda s: s.flag)
+    def test_flag_and_file_key_parse_alike(self, tmp_path, setting):
+        texts = SAMPLES[setting.flag]
+        assert (len(texts) > 1) == setting.repeat
+        argv = ["run"] + [arg for text in texts for arg in (f"--{setting.flag}", text)]
+        from_flag = getattr(build_parser().parse_args(argv), setting.flag.replace("-", "_"))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{setting.flag} = {', '.join(texts)}\n")
+        assert from_flag is not None
+        assert load_config_file(cfg) == {setting.flag: from_flag}
+
+    def test_run_flags_are_exactly_the_settings(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--help"])
+        flags = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+        assert flags == set(RUN_SETTINGS) | {"config", "help"}
+
+    def test_bad_draw_mode_flag_exits_2_naming_both_modes(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--draw-mode", "bogus"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--draw-mode" in err
+        assert "'coordinate'" in err and "'shared'" in err
+
 
 class TestMain:
     def test_list_prints_registry(self, capsys):
@@ -138,6 +206,20 @@ class TestMain:
         assert code == 2
         assert "n_particles" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_run_rejects_jobs_below_one_before_running(self, tmp_path, monkeypatch, capsys,
+                                                       jobs):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run or a pool was started")
+
+        monkeypatch.setattr(harness, "run", no_run)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_run)
+        code = main(["run", "--function", "sphere", "--dim", "2", "--seeds", "2",
+                     "--jobs", jobs, "--out", str(tmp_path / "res")])
+        assert code == 2
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
     def test_check_requires_existing_results(self, tmp_path, capsys):
         code = main(["check", "--out", str(tmp_path / "missing")])
         assert code == 2
@@ -169,6 +251,34 @@ class TestMain:
         text = capsys.readouterr().out
         assert "PASS sphere d=2" in text
         assert "FAIL booth d=2" in text
+
+    def test_check_warns_when_the_results_used_another_config(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        assert main(["run", "--function", "sphere", "--dim", "2", "--seeds", "2",
+                     "--iterations", "50", "--jobs", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = main(["check", "--out", str(out)])
+        warned = capsys.readouterr()
+        (err,) = warned.err.splitlines()
+        assert err.startswith("warning: ")
+        assert "max_iterations=50" in err
+        assert "seed" not in err
+        # The warning changes neither stdout nor the exit code.
+        (out / "summary.json").unlink()
+        assert main(["check", "--out", str(out)]) == code == 0
+        silent = capsys.readouterr()
+        assert silent.out == warned.out
+        assert silent.err == ""
+
+    def test_check_silent_for_the_default_config(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (1, 2, 3)])
+        reports = read_runs_csv(out / "runs.csv")
+        plan = make_plan(functions=["sphere"], dims=[2], seed_count=3,
+                         config_overrides={"seed": 9}, out_dir=out)
+        write_reports(reports, summarize(reports), plan)
+        assert main(["check", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_module_entry_point(self):
         import subprocess

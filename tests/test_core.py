@@ -231,6 +231,17 @@ class TestObjective:
         with pytest.raises(ValueError):
             Objective(name="bad", dimension=3, bounds=((0.0, 1.0),) * 2, evaluate=lambda p: 0.0)
 
+    @pytest.mark.parametrize("dimension", [2.0, True, "2"])
+    def test_non_integer_dimension_rejected(self, dimension):
+        with pytest.raises(ValueError, match="^dimension must be an integer"):
+            Objective(name="bad", dimension=dimension, bounds=((-1.0, 1.0),) * 2,
+                      evaluate=lambda p: 0.0)
+
+    def test_numpy_integer_dimension_stored_as_int(self):
+        obj = Objective(name="q", dimension=np.int64(2), bounds=((-1.0, 1.0),) * 2,
+                        evaluate=lambda p: 0.0)
+        assert type(obj.dimension) is int and obj.dimension == 2
+
     def test_evaluation_is_bit_stable(self):
         obj = self._quadratic()
         point = np.array([0.3333333333333333, -1.7777777777777])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -47,7 +49,7 @@ def fake_report(function, dimension, seed, best, error=None):
 class TestMakePlan:
     def test_default_plan_covers_the_full_grid(self, tmp_path):
         plan = make_plan(out_dir=tmp_path)
-        assert len(plan.functions) == 7
+        assert len(plan.dimensions) == 7
         assert plan.cells() == [
             ("booth", 2), ("beale", 2), ("goldstein_price", 2),
             ("mccormick", 2), ("three_hump_camel", 2),
@@ -108,7 +110,7 @@ class TestMakePlan:
 
     def test_plan_built_directly_checks_its_seeds(self, tmp_path):
         with pytest.raises(ValueError, match="seed must be an integer"):
-            ExperimentPlan(functions=("booth",), dimensions={"booth": (2,)},
+            ExperimentPlan(dimensions={"booth": (2,)},
                            seeds=(1, 2.5), config=VoaConfig(), out_dir=tmp_path)
 
     @pytest.mark.parametrize("dims", [[2.0], [2, 5.0], [True], ["2"]])
@@ -118,7 +120,7 @@ class TestMakePlan:
 
     def test_plan_built_directly_checks_its_dimensions(self, tmp_path):
         with pytest.raises(ValueError, match="^dimension must be an integer"):
-            ExperimentPlan(functions=("sphere",), dimensions={"sphere": (2.0,)},
+            ExperimentPlan(dimensions={"sphere": (2.0,)},
                            seeds=(1,), config=VoaConfig(), out_dir=tmp_path)
 
     def test_numpy_integer_dimensions_accepted(self, tmp_path):
@@ -141,9 +143,19 @@ class TestMakePlan:
     def test_duplicate_seeds_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="distinct"):
             ExperimentPlan(
-                functions=("booth",), dimensions={"booth": (2,)},
+                dimensions={"booth": (2,)},
                 seeds=(1, 1), config=VoaConfig(), out_dir=tmp_path,
             )
+
+    def test_cells_follow_the_order_of_dimensions(self, tmp_path):
+        plan = dataclasses.replace(make_plan(out_dir=tmp_path),
+                                   dimensions={"sphere": (5, 2), "booth": (2,)}, seeds=(3,))
+        assert plan.cells() == [("sphere", 5), ("sphere", 2), ("booth", 2)]
+        assert plan.n_runs == 3
+
+    def test_plan_without_functions_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="plan selects no benchmark functions"):
+            ExperimentPlan(dimensions={}, seeds=(1,), config=VoaConfig(), out_dir=tmp_path)
 
     def test_config_overrides_applied(self, tmp_path):
         plan = make_plan(config_overrides={"max_iterations": 10, "n_particles": 8,
@@ -211,6 +223,22 @@ class TestExecutePlan:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
         assert len(execute_plan(small_plan(tmp_path))) == 6
+
+    @pytest.mark.parametrize("jobs,message", [
+        (0, "jobs must be >= 1, got 0"),
+        (-4, "jobs must be >= 1, got -4"),
+        (2.5, "jobs must be an integer"),
+        (True, "jobs must be an integer"),
+        ("2", "jobs must be an integer"),
+    ])
+    def test_bad_jobs_rejected_before_any_run(self, tmp_path, monkeypatch, jobs, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run or a pool was started")
+
+        monkeypatch.setattr(harness, "run", no_run)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_run)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            execute_plan(small_plan(tmp_path), jobs=jobs)
 
     def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
