@@ -2,10 +2,10 @@
 
 The plan is booth d=2 plus sphere d=2 and d=5, 2 seeds, 50 iterations, with
 traces. Each output is pinned by its sha256: ``runs.csv`` without the
-``wall_time_ms`` column, ``summary.csv``, ``summary.json``, one trace CSV,
-the ``run`` stdout (summary grid included) and the ``check`` stdout. The
-temporary directory that holds the outputs is replaced by ``<out>`` in
-stdout before hashing.
+``wall_time_ms`` column, ``summary.csv``, ``summary.json``, the legacy view
+of one trace CSV, the ``run`` stdout (summary grid included) and the
+``check`` stdout. The temporary directory that holds the outputs is replaced
+by ``<out>`` in stdout before hashing.
 """
 
 import contextlib
@@ -33,8 +33,19 @@ GOLDEN = {
 }
 
 
+# The trace CSV's header before it took RunTrace's field names.
+LEGACY_TRACE_HEADER = "iteration,best_fitness,mean_fitness,vortex_count,eliminated"
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def legacy_trace_view(text: str) -> str:
+    """A trace CSV in its original five-column layout: the legacy header,
+    then the first five columns of each row."""
+    rows = [",".join(line.split(",")[:5]) for line in text.splitlines()[1:]]
+    return "\n".join([LEGACY_TRACE_HEADER, *rows]) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +65,7 @@ def outputs(tmp_path_factory):
         "runs.csv": strip_wall_column((out / "runs.csv").read_text(encoding="utf-8")),
         "summary.csv": (out / "summary.csv").read_text(encoding="utf-8"),
         "summary.json": (out / "summary.json").read_text(encoding="utf-8"),
-        "trace": (traces / "sphere_d5_s2.csv").read_text(encoding="utf-8"),
+        "trace": legacy_trace_view((traces / "sphere_d5_s2.csv").read_text(encoding="utf-8")),
         **stdout,
     }
 
