@@ -24,7 +24,7 @@ call. The stream layout is the same as with one call per stage.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -47,17 +47,16 @@ __all__ = [
 ]
 
 
+@dataclass(eq=False)
 class RunTrace:
-    """Columnar trace of a whole run, one array per column: row 0 is the
-    initialized swarm and row k the swarm after iteration k."""
+    """A run's trace, one array per field; the fields are the trace CSV's columns
+    in order. Row 0 is the initialized swarm, row k the swarm after iteration k."""
 
-    def __init__(self, best_fitness_so_far, mean_fitness, vortex_count,
-                 eliminations_triggered, non_finite_evals):
-        self.best_fitness_so_far = np.asarray(best_fitness_so_far, dtype=np.float64)
-        self.mean_fitness = np.asarray(mean_fitness, dtype=np.float64)
-        self.vortex_count = np.asarray(vortex_count, dtype=np.int64)
-        self.eliminations_triggered = np.asarray(eliminations_triggered, dtype=bool)
-        self.non_finite_evals = np.asarray(non_finite_evals, dtype=np.int64)
+    best_fitness_so_far: np.ndarray
+    mean_fitness: np.ndarray
+    vortex_count: np.ndarray
+    eliminations_triggered: np.ndarray
+    non_finite_evals: np.ndarray
 
     def __len__(self):
         return self.best_fitness_so_far.shape[0]
@@ -70,17 +69,18 @@ class RunTrace:
 
 @dataclass(eq=False)
 class RunReport:
-    """Everything a single run produced, plus the configuration that made it."""
+    """Everything a single run produced, plus the configuration that made it;
+    the defaults describe a run that produced nothing, as a failed one."""
 
     function: str
     dimension: int
     seed: int
-    best_fitness: float
-    best_position: np.ndarray
-    evaluations: int
-    iterations: int
-    wall_time_ms: float
-    config: VoaConfig
+    best_fitness: float = np.nan
+    best_position: np.ndarray = field(default_factory=lambda: np.empty(0))
+    evaluations: int = 0
+    iterations: int = 0
+    wall_time_ms: float = 0.0
+    config: Optional[VoaConfig] = None
     trace: Optional[RunTrace] = None
     error: Optional[str] = None
 
@@ -296,24 +296,21 @@ def run(config: VoaConfig, objective: Objective) -> RunReport:
     rng = RandomSource(config.seed)
     state = initialize_swarm(config, objective, rng)
 
-    # One row per trace column is appended as each iteration finishes.
-    best = [state.best_fitness]
+    rows = [(state.best_fitness, np.count_nonzero(state.is_vortex), False,
+             np.count_nonzero(np.isinf(state.fitness)))]
+    # Marking averages the fitness the previous iteration left, so the mean lags a row.
     mean = []
-    vortex = [np.count_nonzero(state.is_vortex)]
-    eliminated = [False]
-    non_finite = [np.count_nonzero(np.isinf(state.fitness))]
     for _ in range(config.max_iterations):
-        triggered, bad_evals = advance_iteration(state, config, objective, rng)
-        # Marking in this iteration averaged the fitness the previous one left.
+        eliminated, non_finite = advance_iteration(state, config, objective, rng)
         mean.append(state.mean_fitness)
-        best.append(state.best_fitness)
-        vortex.append(np.count_nonzero(state.is_vortex))
-        eliminated.append(triggered)
-        non_finite.append(bad_evals)
+        rows.append((state.best_fitness, np.count_nonzero(state.is_vortex), eliminated,
+                     non_finite))
         if config.target_fitness is not None and state.best_fitness <= config.target_fitness:
             break
     mean.append(state.fitness.mean())
-    trace = RunTrace(best, mean, vortex, eliminated, non_finite)
+    best, vortex, eliminated, non_finite = zip(*rows)
+    trace = RunTrace(np.array(best), np.array(mean), np.array(vortex, dtype=np.int64),
+                     np.array(eliminated, dtype=bool), np.array(non_finite, dtype=np.int64))
 
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return RunReport(

@@ -14,7 +14,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .benchmarks import GRID_DIMENSIONS, benchmark_names, get_objective, get_spec
 from .core import VoaConfig, as_integer, as_seed
-from .engine import RunReport, run
+from .engine import RunReport, RunTrace, run
 
 __all__ = [
     "ExperimentPlan",
@@ -43,7 +43,7 @@ __all__ = [
 
 RUNS_HEADER = "function,dimension,seed,best_fitness,evaluations,iterations,wall_time_ms,best_position"
 SUMMARY_HEADER = "function," + ",".join(f"d{d}" for d in GRID_DIMENSIONS)
-TRACE_HEADER = "iteration,best_fitness,mean_fitness,vortex_count,eliminated"
+TRACE_HEADER = ",".join(["iteration", *(f.name for f in fields(RunTrace))])
 
 DEFAULT_SEED_COUNT = 20
 DEFAULT_BASE_SEED = 1
@@ -153,22 +153,10 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
 def _run_cell(task) -> RunReport:
     name, dimension, config = task
     try:
-        objective = get_objective(name, dimension)
-        return run(config, objective)
+        return run(config, get_objective(name, dimension))
     except Exception as exc:  # a broken run must not abort its siblings
-        return RunReport(
-            function=name,
-            dimension=dimension,
-            seed=config.seed,
-            best_fitness=float("nan"),
-            best_position=np.empty(0),
-            evaluations=0,
-            iterations=0,
-            wall_time_ms=0.0,
-            config=config,
-            trace=None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return RunReport(function=name, dimension=dimension, seed=config.seed, config=config,
+                         error=f"{type(exc).__name__}: {exc}")
 
 
 def _usable_cpus() -> int:
@@ -314,14 +302,12 @@ def write_reports(reports, summaries, plan: ExperimentPlan) -> dict:
         for r in reports:
             if r.trace is None:
                 continue
-            t = r.trace
-            rows = [TRACE_HEADER]
-            for i in range(len(t)):
-                rows.append(
-                    f"{i},{_sci(t.best_fitness_so_far[i])},"
-                    f"{_sci(t.mean_fitness[i])},{int(t.vortex_count[i])},"
-                    f"{int(t.eliminations_triggered[i])}"
-                )
+            columns = [map(str, range(len(r.trace)))]
+            for f in fields(r.trace):
+                col = getattr(r.trace, f.name)
+                columns.append(map(_sci, col.tolist()) if col.dtype.kind == "f"
+                               else map(str, col.astype(np.int64).tolist()))
+            rows = [TRACE_HEADER, *map(",".join, zip(*columns))]
             name = f"{r.function}_d{r.dimension}_s{r.seed}.csv"
             (plan.trace_dir / name).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
@@ -350,8 +336,6 @@ def read_runs_csv(path) -> list:
                 evaluations=int(row["evaluations"]),
                 iterations=int(row["iterations"]),
                 wall_time_ms=float(row["wall_time_ms"]),
-                config=None,
-                trace=None,
             ))
     return reports
 

@@ -301,7 +301,8 @@ class TestTraceOutput:
         ])
         assert code == 0
         trace = (tmp_path / "traces" / "booth_d2_s1.csv").read_text().splitlines()
-        assert trace[0] == "iteration,best_fitness,mean_fitness,vortex_count,eliminated"
+        assert trace[0] == ("iteration,best_fitness_so_far,mean_fitness,vortex_count,"
+                            "eliminations_triggered,non_finite_evals")
         assert len(trace) == 27
         first = np.array(trace[1].split(","), dtype=object)
         assert first[0] == "0"

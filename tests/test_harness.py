@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -7,15 +8,17 @@ import vortexopt.harness as harness
 from helpers import strip_wall_column
 from vortexopt import (
     ExperimentPlan,
+    Objective,
     SummaryRow,
     VoaConfig,
     evaluate_checks,
     execute_plan,
     make_plan,
+    run,
     summarize,
     write_reports,
 )
-from vortexopt.engine import RunReport
+from vortexopt.engine import RunReport, RunTrace
 from vortexopt.harness import (
     REFERENCE_RESULTS,
     RUNS_HEADER,
@@ -212,6 +215,21 @@ class TestExecutePlan:
         assert all(r.error is not None for r in booth_reports)
         assert all(np.isnan(r.best_fitness) for r in booth_reports)
         assert all(r.error is None for r in beale_reports)
+        failed = booth_reports[1]
+        assert failed.error == "RuntimeError: objective exploded"
+        assert (failed.dimension, failed.seed, failed.config) == (2, 2, dataclasses.replace(
+            plan.config, seed=2))
+        assert failed.best_position.shape == (0,)
+        assert (failed.evaluations, failed.iterations, failed.wall_time_ms) == (0, 0, 0.0)
+        assert failed.trace is None
+
+    def test_report_defaults_describe_a_run_that_produced_nothing(self):
+        first, second = RunReport("booth", 2, 1), RunReport("booth", 2, 2)
+        assert np.isnan(first.best_fitness)
+        assert first.best_position.shape == (0,)
+        assert first.best_position is not second.best_position
+        assert (first.evaluations, first.iterations, first.wall_time_ms) == (0, 0, 0.0)
+        assert (first.config, first.trace, first.error) == (None, None, None)
 
     def test_default_jobs_follow_usable_cpus(self, tmp_path, monkeypatch):
         # One usable CPU on an eight-CPU machine: the default must stay serial.
@@ -298,7 +316,8 @@ class TestWriteReports:
         assert RUNS_HEADER == ("function,dimension,seed,best_fitness,evaluations,"
                                "iterations,wall_time_ms,best_position")
         assert SUMMARY_HEADER == "function,d2,d5,d10,d20,d30"
-        assert TRACE_HEADER == "iteration,best_fitness,mean_fitness,vortex_count,eliminated"
+        assert TRACE_HEADER == ("iteration,best_fitness_so_far,mean_fitness,vortex_count,"
+                                "eliminations_triggered,non_finite_evals")
         plan = small_plan(tmp_path, trace_dir=tmp_path / "traces")
         reports = execute_plan(plan, jobs=1)
         paths = write_reports(reports, summarize(reports), plan)
@@ -306,6 +325,35 @@ class TestWriteReports:
         assert paths["summary"].read_text().splitlines()[0] == SUMMARY_HEADER
         trace_file = tmp_path / "traces" / "booth_d2_s1.csv"
         assert trace_file.read_text().splitlines()[0] == TRACE_HEADER
+
+    def test_trace_header_is_iteration_then_the_run_trace_fields(self):
+        names = [f.name for f in dataclasses.fields(RunTrace)]
+        assert TRACE_HEADER.split(",") == ["iteration", *names]
+
+    def test_trace_csv_parses_back_to_every_run_trace_column(self, tmp_path):
+        # Non-finite on part of the box, and a low elimination threshold, so
+        # that every column varies.
+        objective = Objective(
+            name="patchy", dimension=2, bounds=((-1.0, 1.0), (-1.0, 1.0)),
+            evaluate=lambda x: float(x @ x) if x[0] < 0.5 else float("nan"))
+        config = VoaConfig(n_particles=12, max_iterations=30, elimination_threshold=3, seed=4)
+        report = run(config, objective)
+        plan = small_plan(tmp_path, trace_dir=tmp_path / "traces")
+        write_reports([report], [], plan)
+        with (tmp_path / "traces" / "patchy_d2_s4.csv").open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert ",".join(header) == TRACE_HEADER
+        columns = dict(zip(header, zip(*rows)))
+        trace = report.trace
+        assert [int(v) for v in columns["iteration"]] == trace.iteration.tolist()
+        for f in dataclasses.fields(RunTrace):
+            values = getattr(trace, f.name)
+            if values.dtype.kind == "f":
+                assert list(columns[f.name]) == [harness._sci(v) for v in values], f.name
+            else:
+                assert [int(v) for v in columns[f.name]] == values.tolist(), f.name
+        assert trace.non_finite_evals.any()
+        assert trace.eliminations_triggered.any() and not trace.eliminations_triggered.all()
 
     def test_summary_grid_shape_and_na(self, tmp_path):
         plan = small_plan(tmp_path)
@@ -341,6 +389,7 @@ class TestWriteReports:
             assert parsed.seed == original.seed
             assert parsed.best_fitness == pytest.approx(original.best_fitness, rel=1e-5)
             assert parsed.best_position == pytest.approx(original.best_position)
+            assert (parsed.config, parsed.trace, parsed.error) == (None, None, None)
 
     def test_summary_json_written(self, tmp_path):
         import json
