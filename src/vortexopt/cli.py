@@ -201,8 +201,9 @@ def _cmd_check(ns) -> int:
         print("error: no checkable cells in the results", file=sys.stderr)
         return 2
     summary_path = Path(ns.out) / "summary.json"
-    if summary_path.exists():
-        config = json.loads(summary_path.read_text(encoding="utf-8"))["config"]
+    summary = json.loads(summary_path.read_text(encoding="utf-8")) if summary_path.exists() else {}
+    config = summary.get("config") if isinstance(summary, dict) else None
+    if isinstance(config, dict):
         differing = [f"{name}={config.get(name)}" for name, value in asdict(_DEFAULT).items()
                      if name != "seed" and config.get(name) != value]
         if differing:

@@ -20,6 +20,7 @@ __all__ = [
     "SwarmState",
     "RandomSource",
     "as_integer",
+    "as_real",
     "as_seed",
 ]
 
@@ -38,6 +39,13 @@ def as_integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_real(name: str, value) -> float:
+    """``value`` as a ``float``; a bool or a non-real raises ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def as_seed(name: str, value) -> int:
@@ -140,14 +148,14 @@ class VoaConfig:
     threshold equal to the population size (so every below-average particle is
     respawned each iteration).
 
-    ``per_coordinate_draws`` selects how the position update consumes
+    ``per_coordinate_draws``, a bool, selects how the position update consumes
     randomness: one independent draw per coordinate (default), or a single
     draw shared by all coordinates of a particle, which restricts each move to
     the line through the global best.
 
     ``seed``, ``n_particles``, ``max_iterations`` and ``elimination_threshold``
     must be integers (Python or numpy, stored as ``int``); floats, strings and
-    bools are rejected.
+    bools are rejected. The other numeric fields are reals, stored as ``float``.
 
     ``initial_vorticity`` may lie outside ``[min_vorticity, max_vorticity]``:
     the one-time kick clamps the initial best particle's value, and the first
@@ -171,10 +179,18 @@ class VoaConfig:
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         object.__setattr__(self, "seed", as_seed("seed", self.seed))
         if self.min_vorticity is None:
-            object.__setattr__(self, "min_vorticity", -float(self.max_vorticity))
+            object.__setattr__(self, "min_vorticity", -as_real("max_vorticity", self.max_vorticity))
         for name in ("initial_vorticity", "max_vorticity", "min_vorticity", "pull_epsilon"):
+            object.__setattr__(self, name, as_real(name, getattr(self, name)))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.target_fitness is not None:
+            object.__setattr__(self, "target_fitness", as_real("target_fitness", self.target_fitness))
+            if math.isnan(self.target_fitness):
+                raise ValueError("target_fitness must not be NaN")
+        if not isinstance(self.per_coordinate_draws, (bool, np.bool_)):
+            raise ValueError(f"per_coordinate_draws must be a bool, got {self.per_coordinate_draws!r}")
+        object.__setattr__(self, "per_coordinate_draws", bool(self.per_coordinate_draws))
         if self.n_particles < 2:
             raise ValueError(f"n_particles must be >= 2, got {self.n_particles}")
         if self.max_iterations < 0:
@@ -223,8 +239,8 @@ class Objective:
                 f"got {len(bounds)} pairs for dimension {self.dimension}"
             )
         for i, (lo, hi) in enumerate(bounds):
-            if not lo < hi:
-                raise ValueError(f"bounds[{i}]: lower {lo} must be < upper {hi}")
+            if not -math.inf < lo < hi < math.inf:
+                raise ValueError(f"bounds[{i}] must be finite with lower < upper, got ({lo}, {hi})")
         for attr, column in (("_lower", 0), ("_upper", 1)):
             limits = np.array([b[column] for b in bounds], dtype=np.float64)
             limits.flags.writeable = False

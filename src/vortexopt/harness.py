@@ -141,6 +141,8 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
     count = as_integer("seed_count", DEFAULT_SEED_COUNT if seed_count is None else seed_count)
     if count < 1:
         raise ValueError(f"seed count must be >= 1, got {count}")
+    if "seed" in (config_overrides or {}):
+        raise ValueError("config_overrides cannot set the seed; use base_seed and seed_count")
     return ExperimentPlan(
         dimensions=dimensions,
         seeds=tuple(range(base, base + count)),

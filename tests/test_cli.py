@@ -1,9 +1,12 @@
+import dataclasses
+import json
 import re
 
 import numpy as np
 import pytest
 
 import vortexopt.harness as harness
+from vortexopt import VoaConfig
 from vortexopt.cli import RUN_SETTINGS, build_parser, load_config_file, main, parse_plan
 from vortexopt.harness import (
     RUNS_HEADER,
@@ -274,11 +277,24 @@ class TestMain:
         out = tmp_path / "res"
         self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (1, 2, 3)])
         reports = read_runs_csv(out / "runs.csv")
-        plan = make_plan(functions=["sphere"], dims=[2], seed_count=3,
-                         config_overrides={"seed": 9}, out_dir=out)
+        plan = make_plan(functions=["sphere"], dims=[2], seed_count=3, out_dir=out)
+        plan = dataclasses.replace(plan, config=VoaConfig(seed=9))
         write_reports(reports, summarize(reports), plan)
+        assert json.loads((out / "summary.json").read_text())["config"]["seed"] == 9
         assert main(["check", "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("summary", [{"rows": []}, {"config": None}, [], "text"])
+    def test_check_reads_a_summary_without_a_config_as_missing(self, tmp_path, capsys,
+                                                               summary):
+        out = tmp_path / "res"
+        self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (1, 2, 3)])
+        code = main(["check", "--out", str(out)])
+        missing = capsys.readouterr()
+        (out / "summary.json").write_text(json.dumps(summary))
+        assert main(["check", "--out", str(out)]) == code == 0
+        assert capsys.readouterr() == missing
+        assert missing.err == ""
 
     def test_module_entry_point(self):
         import subprocess

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import splitmix64_units
 from vortexopt import Objective, VoaConfig
-from vortexopt.core import _BLOCK_DRAWS, RandomSource, as_seed
+from vortexopt.core import _BLOCK_DRAWS, RandomSource, as_real, as_seed
 
 
 class TestRandomSource:
@@ -148,6 +148,15 @@ class TestIntegerChecks:
                 RandomSource(bad)
             assert str(from_config.value) == str(from_rng.value)
 
+    @pytest.mark.parametrize("value", [True, np.False_, "0.5", None, 1j])
+    def test_as_real_rejects_bools_and_non_reals_by_name(self, value):
+        with pytest.raises(ValueError, match="^pull_epsilon must be a real number"):
+            as_real("pull_epsilon", value)
+
+    def test_as_real_returns_a_float(self):
+        for value in (2, np.int64(2), np.float32(2.0), 2.0):
+            assert type(as_real("x", value)) is float and as_real("x", value) == 2.0
+
 
 class TestVoaConfig:
     def test_defaults(self):
@@ -201,6 +210,37 @@ class TestVoaConfig:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             VoaConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("initial_vorticity", "0.5"), ("max_vorticity", True), ("min_vorticity", "-1"),
+        ("pull_epsilon", None), ("target_fitness", "1e-8"), ("target_fitness", False),
+    ])
+    def test_non_real_field_named_in_error(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+            VoaConfig(**{field: value})
+
+    def test_nan_target_fitness_rejected(self):
+        with pytest.raises(ValueError, match="^target_fitness must not be NaN"):
+            VoaConfig(target_fitness=float("nan"))
+
+    def test_real_fields_stored_as_float(self):
+        config = VoaConfig(initial_vorticity=1, max_vorticity=np.int64(3),
+                           pull_epsilon=np.float32(0.5), target_fitness=0)
+        assert (config.initial_vorticity, config.max_vorticity, config.min_vorticity,
+                config.pull_epsilon, config.target_fitness) == (1.0, 3.0, -3.0, 0.5, 0.0)
+        for name in ("initial_vorticity", "max_vorticity", "min_vorticity", "pull_epsilon",
+                     "target_fitness"):
+            assert type(getattr(config, name)) is float, name
+        assert VoaConfig(target_fitness=float("-inf")).target_fitness == float("-inf")
+
+    @pytest.mark.parametrize("value", ["shared", 1, 0, None, "coordinate"])
+    def test_draw_mode_must_be_a_bool(self, value):
+        with pytest.raises(ValueError, match="^per_coordinate_draws must be a bool"):
+            VoaConfig(per_coordinate_draws=value)
+
+    def test_numpy_bool_draw_mode_stored_as_bool(self):
+        config = VoaConfig(per_coordinate_draws=np.False_)
+        assert config.per_coordinate_draws is False
+
     def test_numpy_integers_accepted_as_int(self):
         config = VoaConfig(seed=np.int64(3), n_particles=np.int32(20),
                            elimination_threshold=np.uint8(5))
@@ -226,6 +266,14 @@ class TestObjective:
     def test_bounds_must_be_ordered(self):
         with pytest.raises(ValueError):
             Objective(name="bad", dimension=1, bounds=((2.0, 1.0),), evaluate=lambda p: 0.0)
+
+    @pytest.mark.parametrize("pair", [
+        (-np.inf, np.inf), (0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan),
+    ])
+    def test_non_finite_bounds_rejected_by_index(self, pair):
+        with pytest.raises(ValueError, match=r"^bounds\[1\] must be finite"):
+            Objective(name="q", dimension=2, bounds=((-1.0, 1.0), pair),
+                      evaluate=lambda p: float(p @ p))
 
     def test_bounds_length_must_match_dimension(self):
         with pytest.raises(ValueError):

@@ -50,6 +50,11 @@ def fake_report(function, dimension, seed, best, error=None):
 
 
 class TestMakePlan:
+    def test_seed_override_rejected_in_favour_of_the_plan_seeds(self, tmp_path):
+        with pytest.raises(ValueError, match="cannot set the seed; use base_seed and seed_count"):
+            make_plan(functions=["booth"], seed_count=2, config_overrides={"seed": 99},
+                      out_dir=tmp_path)
+
     def test_default_plan_covers_the_full_grid(self, tmp_path):
         plan = make_plan(out_dir=tmp_path)
         assert len(plan.dimensions) == 7
