@@ -96,21 +96,19 @@ def vorticity_kick(v, r, v_min, v_max):
 def vorticity_pull(v, best_v, r, epsilon, v_min, v_max):
     """Vorticity step ``v + r * (best_v / v)``, guarded and clamped.
 
-    The divisor is the particle's own vorticity; magnitudes below ``epsilon``
-    are replaced by ``epsilon`` carrying the original sign (zero counts as
-    positive), so the step stays finite. The result is clamped to
-    [v_min, v_max]. Accepts scalars or arrays.
+    ``v`` and ``r`` are (k,) arrays. The divisor is the particle's own
+    vorticity; magnitudes below ``epsilon`` are replaced by ``epsilon``
+    carrying the original sign (zero counts as positive), so the step stays
+    finite. The result is clamped to [v_min, v_max].
     """
-    v = np.asarray(v, dtype=np.float64)
     size = np.abs(v)
     guarded = v
     # The minimum is NaN when v holds a NaN, which also takes the guarded branch.
-    if not np.minimum.reduce(size, axis=None) >= epsilon:
+    if not np.minimum.reduce(size) >= epsilon:
         guarded = np.where(size >= epsilon, v, np.where(v >= 0.0, epsilon, -epsilon))
     # Limits first: on a signed-zero tie this keeps the same zero that
     # ndarray.clip keeps with scalar limits.
-    out = np.minimum(v_max, np.maximum(v_min, v + r * (best_v / guarded)))
-    return out if out.ndim else float(out)
+    return np.minimum(v_max, np.maximum(v_min, v + r * (best_v / guarded)))
 
 
 def vorticity_decay(v, r):
@@ -121,28 +119,15 @@ def vorticity_decay(v, r):
 def move_toward_best(positions, vorticity, best_position, r, lower, upper):
     """Move particles along ``r * v * (best - position)``, clamped to the box.
 
-    ``positions`` is one vector or a (k, d) stack. ``r`` may be a scalar, one
-    draw per particle (k,), or one draw per coordinate (the shape of
-    ``positions``); a scalar or per-particle draw is shared by all coordinates
-    of that particle, confining the move to the line through the best position.
+    ``positions`` is a (k, d) stack, ``vorticity`` (k,) and ``best_position``
+    (d,). ``r`` holds one draw per coordinate, (k, d), or one per particle,
+    (k, 1); a draw shared by a particle's coordinates confines its move to the
+    line through the best position.
     """
-    pos = np.asarray(positions, dtype=np.float64)
-    best = np.asarray(best_position, dtype=np.float64)
-    if pos.ndim not in (1, 2) or best.shape != pos.shape[-1:]:
-        raise ValueError(
-            f"dimension mismatch: positions have shape {pos.shape}, "
-            f"best position has shape {best.shape}"
-        )
-    v = np.asarray(vorticity, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    if r.ndim == pos.ndim:
-        factor = r * v[..., None]
-    else:
-        factor = (r * v)[..., None]
-    # pos + factor * (best - pos), computed and clamped in place on one new array.
-    moved = best - pos
-    moved *= factor
-    moved += pos
+    # positions + r * v * (best - positions), computed and clamped in place on one new array.
+    moved = best_position - positions
+    moved *= r * vorticity[:, None]
+    moved += positions
     np.maximum(moved, lower, out=moved)
     np.minimum(moved, upper, out=moved)
     return moved

@@ -1,21 +1,15 @@
-"""Shared test utilities: CSV munging, and the stage-by-stage invariant
-driver used by the property and acceptance suites.
+"""Shared test utilities: CSV munging, and the invariant driver used by the
+property and acceptance suites.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from vortexopt import (
-    VoaConfig,
-    eliminate_and_respawn,
-    initialize_swarm,
-    mark_vortices,
-    move_toward_best,
-    refresh_fitness_and_best,
-    run,
-    vorticity_decay,
-    vorticity_pull,
-)
-from vortexopt.core import RandomSource
+from vortexopt import VoaConfig, engine
+
+STAGES = ("initialize_swarm", "mark_vortices", "vorticity_pull", "vorticity_decay",
+          "move_toward_best", "refresh_fitness_and_best", "eliminate_and_respawn")
 
 
 def strip_wall_column(csv_text):
@@ -31,85 +25,92 @@ def strip_wall_column(csv_text):
 
 
 def run_with_invariant_checks(config: VoaConfig, objective):
-    """Drive a full run through the public stage operations, asserting the
-    swarm invariants between stages, and cross-check the result against the
-    one-shot driver.
+    """Run ``engine.run`` with its stage functions wrapped, asserting the swarm
+    invariants at every stage boundary, and check the report against the
+    swarm the stages left.
 
     Returns the number of iterations in which elimination triggered.
     """
-    rng = RandomSource(config.seed)
-    state = initialize_swarm(config, objective, rng)
-    n = config.n_particles
-    d = objective.dimension
+    n, d = config.n_particles, objective.dimension
     lower, upper = objective.lower, objective.upper
-    eliminations = 0
+    real = {name: getattr(engine, name) for name in STAGES}
+    seen = SimpleNamespace(state=None, marks=0, eliminations=0, best=None, holder=None,
+                           holder_position=None)
 
-    assert state.positions.shape == (n, d)
-    assert int(state.is_vortex.sum()) == 1
-    assert np.all(state.positions >= lower) and np.all(state.positions <= upper)
-    assert state.best_fitness == state.fitness.min()
+    def assert_in_box(positions):
+        assert positions.shape == (n, d), "population size changed"
+        assert np.all(positions >= lower) and np.all(positions <= upper), "left the box"
 
-    for _ in range(config.max_iterations):
-        prev_best = state.best_fitness
+    def initialize_swarm(*args):
+        state = real["initialize_swarm"](*args)
+        assert_in_box(state.positions)
+        assert int(state.is_vortex.sum()) == 1
+        assert state.best_fitness == state.fitness.min()
+        seen.state = state
+        return state
 
-        mark_vortices(state)
-        mean = state.fitness.mean()
-        expected = (state.fitness <= mean).copy()
+    def mark_vortices(state):
+        real["mark_vortices"](state)
+        expected = state.fitness <= state.fitness.mean()
         expected[state.best_index] = True
         assert np.array_equal(state.is_vortex, expected), "marking rule violated"
+        seen.marks += 1
+        seen.best = state.best_fitness
+        seen.holder = state.best_index
+        seen.holder_position = state.positions[state.best_index].copy()
+        return state
 
-        r = rng.uniform_unit_batch(n)
-        state.vorticity = np.asarray(vorticity_pull(
-            state.vorticity, state.best_vorticity, r,
-            config.pull_epsilon, config.min_vorticity, config.max_vorticity,
-        ))
-        assert np.all(state.vorticity >= config.min_vorticity)
-        assert np.all(state.vorticity <= config.max_vorticity)
+    def vorticity_pull(*args):
+        pulled = real["vorticity_pull"](*args)
+        assert np.all(pulled >= config.min_vorticity)
+        assert np.all(pulled <= config.max_vorticity)
+        return pulled
 
-        decaying = state.is_vortex.copy()
-        decaying[state.best_index] = False
-        k = int(decaying.sum())
-        if k:
-            before = np.abs(state.vorticity[decaying])
-            r = rng.uniform_unit_batch(k)
-            state.vorticity[decaying] = vorticity_decay(state.vorticity[decaying], r)
-            assert np.all(np.abs(state.vorticity[decaying]) <= before)
+    def vorticity_decay(v, r):
+        decayed = real["vorticity_decay"](v, r)
+        assert np.all(np.abs(decayed) <= np.abs(v)), "decay is not a contraction"
+        return decayed
 
-        moving = np.ones(n, dtype=bool)
-        moving[state.best_index] = False
-        holder_position = state.positions[state.best_index].copy()
-        if config.per_coordinate_draws:
-            r = rng.uniform_unit_batch((n - 1) * d).reshape(n - 1, d)
-        else:
-            r = rng.uniform_unit_batch(n - 1)
-        state.positions[moving] = move_toward_best(
-            state.positions[moving], state.vorticity[moving],
-            state.best_position, r, lower, upper,
-        )
-        assert np.all(state.positions >= lower) and np.all(state.positions <= upper)
-        assert np.array_equal(state.positions[state.best_index], holder_position)
+    def move_toward_best(*args):
+        moved = real["move_toward_best"](*args)
+        assert_in_box(moved)
+        return moved
 
-        refresh_fitness_and_best(state, objective)
-        assert state.positions.shape == (n, d), "population size changed"
-        assert state.best_fitness <= prev_best, "best-so-far record worsened"
+    def refresh_fitness_and_best(state, objective):
+        assert np.array_equal(state.positions[seen.holder], seen.holder_position), \
+            "the record holder moved"
+        non_finite = real["refresh_fitness_and_best"](state, objective)
+        assert_in_box(state.positions)
+        assert state.fitness.shape == (n,), "population size changed"
+        assert state.best_fitness <= seen.best, "best-so-far record worsened"
         assert state.best_fitness <= state.fitness.min()
         assert state.fitness[state.best_index] == state.best_fitness
+        return non_finite
 
+    def eliminate_and_respawn(state, *rest):
         pre_positions = state.positions.copy()
         pre_vortex = state.is_vortex.copy()
-        triggered = eliminate_and_respawn(state, config, objective, rng)
-        assert state.positions.shape == (n, d)
-        assert np.all(state.positions >= lower) and np.all(state.positions <= upper)
-        if triggered:
-            eliminations += 1
-            # Vortex particles survive untouched; only normals were replaced.
-            assert np.array_equal(state.positions[pre_vortex], pre_positions[pre_vortex])
-            assert np.array_equal(state.is_vortex, pre_vortex)
-        else:
-            assert np.array_equal(state.positions, pre_positions)
+        triggered = real["eliminate_and_respawn"](state, *rest)
+        assert_in_box(state.positions)
+        assert np.array_equal(state.is_vortex, pre_vortex)
+        # Vortex particles survive untouched; only normals may be replaced.
+        kept = pre_vortex if triggered else slice(None)
+        assert np.array_equal(state.positions[kept], pre_positions[kept])
+        seen.eliminations += triggered
+        return triggered
 
-    report = run(config, objective)
-    assert report.best_fitness == state.best_fitness
-    assert np.array_equal(report.best_position, state.best_position)
-    assert report.evaluations == state.evaluations
-    return eliminations
+    try:
+        for wrapper in (initialize_swarm, mark_vortices, vorticity_pull, vorticity_decay,
+                        move_toward_best, refresh_fitness_and_best, eliminate_and_respawn):
+            setattr(engine, wrapper.__name__, wrapper)
+        report = engine.run(config, objective)
+    finally:
+        for name, fn in real.items():
+            setattr(engine, name, fn)
+
+    assert seen.marks == report.iterations
+    assert report.best_fitness == seen.state.best_fitness
+    assert np.array_equal(report.best_position, seen.state.best_position)
+    assert report.evaluations == seen.state.evaluations
+    assert seen.eliminations == report.trace.eliminations_triggered.sum()
+    return seen.eliminations

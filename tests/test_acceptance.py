@@ -141,13 +141,17 @@ class TestCriterion07UpdateRuleExamples:
         for got, expected in checks:
             assert got == pytest.approx(expected, abs=1e-12)
         bounds = (np.array([-4.5, -4.5]), np.array([4.5, 4.5]))
-        got = move_toward_best(np.array([1.0, 1.0]), 0.5, np.array([3.0, 3.0]), 1.0, *bounds)
-        np.testing.assert_allclose(got, [2.0, 2.0], atol=1e-12)
+        one = np.array([[1.0]])
+        got = move_toward_best(np.array([[1.0, 1.0]]), np.array([0.5]), np.array([3.0, 3.0]),
+                               one, *bounds)
+        np.testing.assert_allclose(got, [[2.0, 2.0]], atol=1e-12)
         best = np.array([2.0, 2.0])
-        got = move_toward_best(best.copy(), 3.0, best, 0.7, *bounds)
-        np.testing.assert_array_equal(got, best)
-        got = move_toward_best(np.array([4.0, 4.0]), 7.0, np.array([-4.0, -4.0]), 1.0, *bounds)
-        np.testing.assert_allclose(got, [-4.5, -4.5], atol=1e-12)
+        got = move_toward_best(best[None, :].copy(), np.array([3.0]), best,
+                               np.array([[0.7]]), *bounds)
+        np.testing.assert_array_equal(got, [best])
+        got = move_toward_best(np.array([[4.0, 4.0]]), np.array([7.0]), np.array([-4.0, -4.0]),
+                               one, *bounds)
+        np.testing.assert_allclose(got, [[-4.5, -4.5]], atol=1e-12)
         _report("criterion 7", True, "all update-rule examples exact to 1e-12, "
                                      "clamp and guard paths included")
 

@@ -68,34 +68,33 @@ class TestVorticityDecay:
 
 
 class TestMoveTowardBest:
+    """Positions are (k, d) stacks; draws are (k, 1), shared by a particle's
+    coordinates, or (k, d), one per coordinate."""
+
     BOUNDS = (np.array([-4.5, -4.5]), np.array([4.5, 4.5]))
 
     def test_plain_arithmetic(self):
-        got = move_toward_best(np.array([1.0, 1.0]), 0.5, np.array([3.0, 3.0]),
-                               1.0, *self.BOUNDS)
-        np.testing.assert_allclose(got, [2.0, 2.0], atol=1e-12)
+        got = move_toward_best(np.array([[1.0, 1.0]]), np.array([0.5]), np.array([3.0, 3.0]),
+                               np.array([[1.0]]), *self.BOUNDS)
+        np.testing.assert_allclose(got, [[2.0, 2.0]], atol=1e-12)
 
     def test_particle_at_best_never_moves(self):
         best = np.array([2.5, -1.5])
         for r in (0.0, 0.3, 0.999):
-            got = move_toward_best(best.copy(), 5.0, best, r, *self.BOUNDS)
-            np.testing.assert_array_equal(got, best)
+            got = move_toward_best(best[None, :].copy(), np.array([5.0]), best,
+                                   np.array([[r]]), *self.BOUNDS)
+            np.testing.assert_array_equal(got, [best])
 
     def test_overshoot_clamps_to_bounds(self):
         # raw coordinates would be 4 + 7*(-8) = -52
-        got = move_toward_best(np.array([4.0, 4.0]), 7.0, np.array([-4.0, -4.0]),
-                               1.0, *self.BOUNDS)
-        np.testing.assert_allclose(got, [-4.5, -4.5], atol=1e-12)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            move_toward_best(np.array([1.0, 1.0]), 0.5, np.array([3.0, 3.0, 3.0]),
-                             1.0, *self.BOUNDS)
+        got = move_toward_best(np.array([[4.0, 4.0]]), np.array([7.0]), np.array([-4.0, -4.0]),
+                               np.array([[1.0]]), *self.BOUNDS)
+        np.testing.assert_allclose(got, [[-4.5, -4.5]], atol=1e-12)
 
     def test_stacked_positions_with_per_particle_draws(self):
         pos = np.array([[1.0, 1.0], [0.0, 0.0]])
         got = move_toward_best(pos, np.array([0.5, 1.0]), np.array([3.0, 3.0]),
-                               np.array([1.0, 0.5]), *self.BOUNDS)
+                               np.array([[1.0], [0.5]]), *self.BOUNDS)
         np.testing.assert_allclose(got, [[2.0, 2.0], [1.5, 1.5]], atol=1e-12)
 
     def test_per_coordinate_draws_move_coordinates_independently(self):
@@ -105,10 +104,14 @@ class TestMoveTowardBest:
                                r, *self.BOUNDS)
         np.testing.assert_allclose(got, [[2.0, 1.0]], atol=1e-12)
 
-    def test_single_vector_with_per_coordinate_draws(self):
-        got = move_toward_best(np.array([1.0, 1.0]), 0.5, np.array([3.0, 3.0]),
-                               np.array([1.0, 0.0]), *self.BOUNDS)
-        np.testing.assert_allclose(got, [2.0, 1.0], atol=1e-12)
+    def test_shared_draw_equals_the_same_draw_per_coordinate(self):
+        pos = np.array([[1.0, -2.0], [0.5, 4.0]])
+        v = np.array([0.5, -1.5])
+        best = np.array([3.0, 3.0])
+        shared = move_toward_best(pos, v, best, np.array([[0.25], [0.75]]), *self.BOUNDS)
+        repeated = move_toward_best(pos, v, best, np.array([[0.25, 0.25], [0.75, 0.75]]),
+                                    *self.BOUNDS)
+        assert shared.tobytes() == repeated.tobytes()
 
 
 SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 0.0)
@@ -140,10 +143,9 @@ class TestClampMatchesClip:
         v = np.resize([1.0, 0.5], 60)
         # r = 0 leaves each finite position as it is before the clamp (the
         # step is a signed zero); r = 1 carries an infinite or NaN best into it.
-        r = np.resize([0.0, 1.0, 0.0], (60, 5) if per_coordinate else 60)
+        r = np.resize([0.0, 1.0, 0.0], (60, 5 if per_coordinate else 1))
         best = np.full(5, best)
-        factor = r * v[:, None] if per_coordinate else (r * v)[:, None]
         with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf are NaN
-            expected = ((best - pos) * factor + pos).clip(lower, upper)
+            expected = ((best - pos) * (r * v[:, None]) + pos).clip(lower, upper)
             got = move_toward_best(pos, v, best, r, lower, upper)
         assert got.tobytes() == expected.tobytes()

@@ -46,9 +46,9 @@ class TestRuleProperties:
     )
     def test_particle_at_best_is_a_fixed_point(self, x, y, v, r):
         best = np.array([x, y])
-        got = move_toward_best(best.copy(), v, best,
-                               r, np.array([-4.5, -4.5]), np.array([4.5, 4.5]))
-        np.testing.assert_array_equal(got, best)
+        got = move_toward_best(best[None, :].copy(), np.array([v]), best,
+                               np.array([[r]]), np.array([-4.5, -4.5]), np.array([4.5, 4.5]))
+        np.testing.assert_array_equal(got, [best])
 
     @given(
         pos=st.lists(st.floats(min_value=-4.5, max_value=4.5), min_size=2, max_size=2),
@@ -59,7 +59,8 @@ class TestRuleProperties:
     def test_moves_stay_inside_the_box(self, pos, best, v, r):
         lower = np.array([-4.5, -4.5])
         upper = np.array([4.5, 4.5])
-        got = move_toward_best(np.array(pos), v, np.array(best), r, lower, upper)
+        got = move_toward_best(np.array([pos]), np.array([v]), np.array(best),
+                               np.array([[r]]), lower, upper)
         assert np.all(got >= lower) and np.all(got <= upper)
 
     @given(
