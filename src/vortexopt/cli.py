@@ -201,7 +201,10 @@ def _cmd_check(ns) -> int:
         print("error: no checkable cells in the results", file=sys.stderr)
         return 2
     summary_path = Path(ns.out) / "summary.json"
-    summary = json.loads(summary_path.read_text(encoding="utf-8")) if summary_path.exists() else {}
+    try:
+        summary = json.loads(summary_path.read_text(encoding="utf-8")) if summary_path.exists() else {}
+    except ValueError as exc:  # also a file that is not UTF-8
+        raise ValueError(f"{summary_path} is not valid JSON: {exc}") from None
     config = summary.get("config") if isinstance(summary, dict) else None
     if isinstance(config, dict):
         differing = [f"{name}={config.get(name)}" for name, value in asdict(_DEFAULT).items()
@@ -213,9 +216,8 @@ def _cmd_check(ns) -> int:
     for res in results:
         verdict = "PASS" if res.passed else "FAIL"
         any_fail = any_fail or not res.passed
-        ref = "" if res.reference_value is None else f" reference={res.reference_value:.4f}"
-        print(f"{verdict} {res.function} d={res.dimension} "
-              f"median={res.median:.6e}{ref} rule: {res.rule}")
+        print(f"{verdict} {res.function} d={res.dimension} median={res.median:.6e} "
+              f"reference={res.reference_value:.4f} rule: {res.rule}")
     return 1 if any_fail else 0
 
 

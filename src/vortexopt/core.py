@@ -231,7 +231,8 @@ class Objective:
         object.__setattr__(self, "dimension", as_integer("dimension", self.dimension))
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+        bounds = tuple((as_real(f"bounds[{i}]", lo), as_real(f"bounds[{i}]", hi))
+                       for i, (lo, hi) in enumerate(self.bounds))
         object.__setattr__(self, "bounds", bounds)
         if len(bounds) != self.dimension:
             raise ValueError(

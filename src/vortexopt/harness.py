@@ -321,24 +321,34 @@ def write_reports(reports, summaries, plan: ExperimentPlan) -> dict:
     }
 
 
+# How each runs.csv column parses back into the RunReport field of its name.
+_RUNS_COLUMNS = {"function": str, "dimension": int, "seed": int, "best_fitness": float,
+                 "evaluations": int, "iterations": int, "wall_time_ms": float,
+                 "best_position": lambda text: np.array(
+                     [float(x) for x in text.split(";")] if text else [], dtype=np.float64)}
+
+
 def read_runs_csv(path) -> list:
-    """Load per-run reports back from runs.csv (config and trace omitted)."""
+    """Load per-run reports back from runs.csv (config and trace omitted); bad input
+    (not UTF-8, a missing column, a cell that does not parse) fails naming the file."""
     path = Path(path)
+    try:
+        reader = csv.DictReader(path.read_text(encoding="utf-8").splitlines(keepends=True))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    missing = [c for c in _RUNS_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
     reports = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            position = row.get("best_position", "")
-            coords = [float(p) for p in position.split(";")] if position else []
-            reports.append(RunReport(
-                function=row["function"],
-                dimension=int(row["dimension"]),
-                seed=int(row["seed"]),
-                best_fitness=float(row["best_fitness"]),
-                best_position=np.asarray(coords, dtype=np.float64),
-                evaluations=int(row["evaluations"]),
-                iterations=int(row["iterations"]),
-                wall_time_ms=float(row["wall_time_ms"]),
-            ))
+    for row in reader:
+        values = {}
+        for column, parse in _RUNS_COLUMNS.items():
+            try:
+                values[column] = parse(row[column])
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}:{reader.line_num}: column {column}: cannot "
+                                 f"read {row[column]!r}") from None
+        reports.append(RunReport(**values))
     return reports
 
 
@@ -349,7 +359,7 @@ class CheckResult:
     function: str
     dimension: int
     median: float
-    reference_value: Optional[float]
+    reference_value: float
     rule: str
     passed: bool
 

@@ -296,6 +296,25 @@ class TestMain:
         assert capsys.readouterr() == missing
         assert missing.err == ""
 
+    @pytest.mark.parametrize("content", [b"{", b'{"config": {}', b"\xff"])
+    def test_check_names_a_summary_that_is_not_json(self, tmp_path, capsys, content):
+        out = tmp_path / "res"
+        self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (1, 2, 3)])
+        (out / "summary.json").write_bytes(content)
+        assert main(["check", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        (err,) = captured.err.splitlines()
+        assert err.startswith(f"error: {out / 'summary.json'} is not valid JSON")
+        assert captured.out == ""
+
+    def test_check_names_a_bad_runs_csv(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        out.mkdir()
+        (out / "runs.csv").write_text("function,dimension\nsphere,2\n")
+        assert main(["check", "--out", str(out)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error: {out / 'runs.csv'}: missing column(s) seed,")
+
     def test_module_entry_point(self):
         import subprocess
         import sys

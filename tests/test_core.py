@@ -275,6 +275,17 @@ class TestObjective:
             Objective(name="q", dimension=2, bounds=((-1.0, 1.0), pair),
                       evaluate=lambda p: float(p @ p))
 
+    @pytest.mark.parametrize("pair", [(False, True), ("a", 1.0), (0.0, None)])
+    def test_non_real_bounds_rejected_by_index(self, pair):
+        with pytest.raises(ValueError, match=r"^bounds\[0\] must be a real number"):
+            Objective(name="q", dimension=1, bounds=(pair,), evaluate=lambda p: 0.0)
+
+    def test_integer_bounds_stored_as_float(self):
+        obj = Objective(name="q", dimension=1, bounds=((np.int64(-1), 2),),
+                        evaluate=lambda p: 0.0)
+        assert obj.bounds == ((-1.0, 2.0),)
+        assert all(type(b) is float for b in obj.bounds[0])
+
     def test_bounds_length_must_match_dimension(self):
         with pytest.raises(ValueError):
             Objective(name="bad", dimension=3, bounds=((0.0, 1.0),) * 2, evaluate=lambda p: 0.0)

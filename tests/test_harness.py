@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -395,6 +396,34 @@ class TestWriteReports:
             assert parsed.best_fitness == pytest.approx(original.best_fitness, rel=1e-5)
             assert parsed.best_position == pytest.approx(original.best_position)
             assert (parsed.config, parsed.trace, parsed.error) == (None, None, None)
+
+    def test_runs_csv_missing_columns_named(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text("function,dimension,best_fitness\nsphere,2,1.0\n")
+        message = (f"{path}: missing column(s) seed, evaluations, iterations, wall_time_ms, "
+                   "best_position")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_runs_csv(path)
+
+    def test_runs_csv_not_utf8_named(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_bytes(RUNS_HEADER.encode() + b"\nsphere,2,1,1.0,100,10,1.000,\xff\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+            read_runs_csv(path)
+
+    @pytest.mark.parametrize("column,cell", [
+        ("seed", "notanumber"), ("best_fitness", "notanumber"), ("best_position", "0.5;x"),
+        ("wall_time_ms", ""),
+    ])
+    def test_runs_csv_bad_cell_named_by_line_and_column(self, tmp_path, column, cell):
+        good = dict(zip(RUNS_HEADER.split(","), ["sphere", "2", "1", "1.0e-01", "100", "10",
+                                                 "1.000", "0.0;0.5"]))
+        bad = {**good, column: cell}
+        rows = [",".join(good.values()), ",".join(bad.values())]
+        path = tmp_path / "runs.csv"
+        path.write_text("\n".join([RUNS_HEADER, *rows]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: column {column}: ')}"):
+            read_runs_csv(path)
 
     def test_summary_json_written(self, tmp_path):
         import json
