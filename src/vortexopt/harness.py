@@ -34,6 +34,7 @@ __all__ = [
     "summarize",
     "summary_grid",
     "write_reports",
+    "write_trace",
     "read_runs_csv",
     "evaluate_checks",
     "RUNS_HEADER",
@@ -153,12 +154,18 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
 
 
 def _run_cell(task) -> RunReport:
-    name, dimension, config = task
+    """Run one cell; write its trace file when ``trace_dir`` is set, and
+    return the report without its trace, so no trace crosses the pool."""
+    name, dimension, config, trace_dir = task
     try:
-        return run(config, get_objective(name, dimension))
+        report = run(config, get_objective(name, dimension))
     except Exception as exc:  # a broken run must not abort its siblings
         return RunReport(function=name, dimension=dimension, seed=config.seed, config=config,
                          error=f"{type(exc).__name__}: {exc}")
+    # Outside the try: a failed write is an I/O fault, not a failed run.
+    if trace_dir is not None and report.trace is not None:
+        write_trace(report, trace_dir)
+    return replace(report, trace=None)
 
 
 def _usable_cpus() -> int:
@@ -178,12 +185,21 @@ def execute_plan(plan: ExperimentPlan, jobs=None, progress=None) -> list:
     or a one-run plan, runs in this process. ``jobs`` below 1 or not an
     integer raises ValueError before any run starts. ``progress`` is called
     with each finished report in plan order.
+
+    The plan's output directory, and its trace directory when set, are
+    created before the first run, so a path that cannot be a directory
+    fails (OSError) before any run starts. The reports carry no trace:
+    each run's trace file is written by the process that ran it, as the
+    run ends, and a failed write propagates rather than failing the run.
     """
     jobs = _usable_cpus() if jobs is None else as_integer("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    for directory in (plan.out_dir, plan.trace_dir):
+        if directory is not None:
+            directory.mkdir(parents=True, exist_ok=True)
     tasks = [
-        (name, dim, replace(plan.config, seed=seed))
+        (name, dim, replace(plan.config, seed=seed), plan.trace_dir)
         for name, dim in plan.cells()
         for seed in plan.seeds
     ]
@@ -264,11 +280,13 @@ def summary_grid(summaries) -> tuple:
 
 
 def write_reports(reports, summaries, plan: ExperimentPlan) -> dict:
-    """Write runs.csv, the summary grid, a JSON summary, and optional traces.
+    """Write runs.csv, the summary grid and a JSON summary.
 
     The summary grid is ``summary_grid``'s, with ``NA`` for its empty cells.
     Numbers use fixed scientific notation so repeated identical plans write
-    identical bytes (wall time aside).
+    identical bytes (wall time aside). Trace files are not written here but
+    by ``execute_plan`` as each run ends; ``"traces"`` in the returned paths
+    is the plan's trace directory, or None.
     """
     out_dir = plan.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -299,26 +317,30 @@ def write_reports(reports, summaries, plan: ExperimentPlan) -> dict:
     json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                          encoding="utf-8")
 
-    if plan.trace_dir is not None:
-        plan.trace_dir.mkdir(parents=True, exist_ok=True)
-        for r in reports:
-            if r.trace is None:
-                continue
-            columns = [map(str, range(len(r.trace)))]
-            for f in fields(r.trace):
-                col = getattr(r.trace, f.name)
-                columns.append(map(_sci, col.tolist()) if col.dtype.kind == "f"
-                               else map(str, col.astype(np.int64).tolist()))
-            rows = [TRACE_HEADER, *map(",".join, zip(*columns))]
-            name = f"{r.function}_d{r.dimension}_s{r.seed}.csv"
-            (plan.trace_dir / name).write_text("\n".join(rows) + "\n", encoding="utf-8")
-
     return {
         "runs": runs_path,
         "summary": summary_path,
         "summary_json": json_path,
         "traces": plan.trace_dir,
     }
+
+
+def write_trace(report: RunReport, trace_dir) -> Path:
+    """Write the report's trace to ``<function>_d<dim>_s<seed>.csv`` in
+    ``trace_dir``, which must exist, and return the file's path.
+
+    One ``TRACE_HEADER`` row, then one row per trace row: the iteration,
+    then each ``RunTrace`` field, reals in fixed scientific notation.
+    """
+    columns = [map(str, range(len(report.trace)))]
+    for f in fields(report.trace):
+        col = getattr(report.trace, f.name)
+        columns.append(map(_sci, col.tolist()) if col.dtype.kind == "f"
+                       else map(str, col.astype(np.int64).tolist()))
+    rows = [TRACE_HEADER, *map(",".join, zip(*columns))]
+    path = Path(trace_dir) / f"{report.function}_d{report.dimension}_s{report.seed}.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
 
 
 # How each runs.csv column parses back into the RunReport field of its name.
@@ -330,22 +352,30 @@ _RUNS_COLUMNS = {"function": str, "dimension": int, "seed": int, "best_fitness":
 
 def read_runs_csv(path) -> list:
     """Load per-run reports back from runs.csv (config and trace omitted); bad input
-    (not UTF-8, a missing column, a cell that does not parse) fails naming the file."""
+    (not UTF-8, a missing column, a row whose cell count differs from the header's,
+    a cell that does not parse) fails naming the file."""
     path = Path(path)
     try:
-        reader = csv.DictReader(path.read_text(encoding="utf-8").splitlines(keepends=True))
+        reader = csv.reader(path.read_text(encoding="utf-8").splitlines(keepends=True))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    missing = [c for c in _RUNS_COLUMNS if c not in (reader.fieldnames or ())]
+    header = next(reader, [])
+    missing = [c for c in _RUNS_COLUMNS if c not in header]
     if missing:
         raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
     reports = []
-    for row in reader:
+    for cells in reader:
+        if not cells:  # a blank line
+            continue
+        if len(cells) != len(header):
+            raise ValueError(f"{path}:{reader.line_num}: {len(cells)} cells, but the header "
+                             f"has {len(header)}")
+        row = dict(zip(header, cells))
         values = {}
         for column, parse in _RUNS_COLUMNS.items():
             try:
                 values[column] = parse(row[column])
-            except (TypeError, ValueError):
+            except ValueError:
                 raise ValueError(f"{path}:{reader.line_num}: column {column}: cannot "
                                  f"read {row[column]!r}") from None
         reports.append(RunReport(**values))

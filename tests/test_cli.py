@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import re
 
@@ -6,6 +9,8 @@ import numpy as np
 import pytest
 
 import vortexopt.harness as harness
+from helpers import strip_wall_column
+from test_golden_reports import GOLDEN, RUN_ARGS, legacy_trace_view
 from vortexopt import VoaConfig
 from vortexopt.cli import RUN_SETTINGS, build_parser, load_config_file, main, parse_plan
 from vortexopt.harness import (
@@ -223,6 +228,25 @@ class TestMain:
         assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--trace-dir"])
+    def test_run_rejects_a_file_as_output_directory_before_running(self, tmp_path,
+                                                                   monkeypatch, capsys, flag):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run was started")
+
+        monkeypatch.setattr(harness, "run", no_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        paths = {"--out": str(tmp_path / "res"), "--trace-dir": str(tmp_path / "traces"),
+                 flag: str(blocker)}
+        code = main(["run", "--function", "sphere", "--dim", "2", "--seeds", "2",
+                     "--iterations", "5", "--jobs", "1", *(a for kv in paths.items() for a in kv)])
+        assert code == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: ") and str(blocker) in err
+        assert not (tmp_path / "res" / "runs.csv").exists()
+        assert blocker.read_text() == ""
+
     def test_check_requires_existing_results(self, tmp_path, capsys):
         code = main(["check", "--out", str(tmp_path / "missing")])
         assert code == 2
@@ -315,6 +339,20 @@ class TestMain:
         (err,) = capsys.readouterr().err.splitlines()
         assert err.startswith(f"error: {out / 'runs.csv'}: missing column(s) seed,")
 
+    @pytest.mark.parametrize("row", ["sphere,2,2,1.0e-09,100,10,1.000",
+                                     "sphere,2,2,1.0e-09,100,10,1.000,0.0,0.0"])
+    def test_check_names_a_runs_csv_row_of_the_wrong_length(self, tmp_path, capsys, row):
+        out = tmp_path / "res"
+        self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (1, 3)])
+        runs = out / "runs.csv"
+        header, first, last = runs.read_text().splitlines()
+        runs.write_text("\n".join([header, first, row, last]) + "\n")
+        assert main(["check", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        (err,) = captured.err.splitlines()
+        assert err.startswith(f"error: {runs}:3: {row.count(',') + 1} cells, but the header has 8")
+        assert captured.out == ""
+
     def test_module_entry_point(self):
         import subprocess
         import sys
@@ -341,3 +379,22 @@ class TestTraceOutput:
         assert len(trace) == 27
         first = np.array(trace[1].split(","), dtype=object)
         assert first[0] == "0"
+
+    def test_pool_workers_write_the_golden_traces(self, tmp_path):
+        args = list(RUN_ARGS)
+        traces = {}
+        for jobs in ("1", "2"):
+            args[args.index("--jobs") + 1] = jobs
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(["run", *args, "--out", str(tmp_path / f"res{jobs}"),
+                             "--trace-dir", str(tmp_path / f"traces{jobs}")]) == 0
+            traces[jobs] = {p.name: p.read_text(encoding="utf-8")
+                            for p in sorted((tmp_path / f"traces{jobs}").iterdir())}
+        assert len(traces["2"]) == 6
+        assert traces["2"] == traces["1"]
+        pooled = traces["2"]["sphere_d5_s2.csv"]
+        runs = strip_wall_column((tmp_path / "res2" / "runs.csv").read_text(encoding="utf-8"))
+        for text, name in ((pooled, "trace_full"), (legacy_trace_view(pooled), "trace"),
+                           (runs, "runs.csv")):
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[name], name

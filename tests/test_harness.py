@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -26,6 +27,7 @@ from vortexopt.harness import (
     SUMMARY_HEADER,
     TRACE_HEADER,
     read_runs_csv,
+    write_trace,
 )
 
 
@@ -275,6 +277,63 @@ class TestExecutePlan:
         execute_plan(plan, jobs=1, progress=lambda r: seen.append(r.seed))
         assert seen == [1, 2, 3, 1, 2, 3]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_reports_carry_no_trace(self, tmp_path, jobs, traced):
+        plan = small_plan(tmp_path, trace_dir=tmp_path / "traces" if traced else None)
+        reports = execute_plan(plan, jobs=jobs)
+        assert [r.trace for r in reports] == [None] * 6
+        assert all(r.error is None for r in reports)
+        if traced:
+            assert sorted(p.name for p in (tmp_path / "traces").iterdir()) == sorted(
+                f"{f}_d2_s{s}.csv" for f in ("booth", "beale") for s in (1, 2, 3))
+
+    def test_pickled_report_stays_small(self, tmp_path):
+        # With its trace, a 500-iteration booth report pickles to about 17 KB.
+        plan = small_plan(tmp_path, functions=["booth"], seed_count=1,
+                          config_overrides={"max_iterations": 500})
+        (report,) = execute_plan(plan, jobs=1)
+        assert report.iterations == 500
+        assert len(pickle.dumps(report)) < 2000
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_trace_write_propagates_instead_of_failing_the_run(self, tmp_path, jobs):
+        traces = tmp_path / "traces"
+        (traces / "beale_d2_s2.csv").mkdir(parents=True)
+        seen = []
+        with pytest.raises(IsADirectoryError, match="beale_d2_s2.csv"):
+            execute_plan(small_plan(tmp_path, trace_dir=traces), jobs=jobs,
+                         progress=seen.append)
+        assert all(r.error is None for r in seen)
+        assert (traces / "booth_d2_s1.csv").is_file()
+
+    def test_output_directories_exist_before_the_first_run(self, tmp_path, monkeypatch):
+        plan = small_plan(tmp_path, out_dir=tmp_path / "a" / "out",
+                          trace_dir=tmp_path / "b" / "traces", seed_count=1)
+        real = harness.run
+
+        def checked(*args):
+            assert plan.out_dir.is_dir() and plan.trace_dir.is_dir()
+            return real(*args)
+
+        monkeypatch.setattr(harness, "run", checked)
+        assert all(r.error is None for r in execute_plan(plan, jobs=1))
+
+    @pytest.mark.parametrize("field", ["out_dir", "trace_dir"])
+    def test_a_file_in_place_of_a_directory_fails_before_any_run(self, tmp_path, monkeypatch,
+                                                                 field):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run or a pool was started")
+
+        monkeypatch.setattr(harness, "_run_cell", no_run)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        paths = {"out_dir": tmp_path / "out", "trace_dir": tmp_path / "traces", field: blocker}
+        plan = small_plan(tmp_path, **paths)
+        with pytest.raises(FileExistsError, match=re.escape(str(blocker))):
+            execute_plan(plan, jobs=2)
+
 
 class TestSummarize:
     def test_singleton_group(self):
@@ -344,9 +403,9 @@ class TestWriteReports:
             evaluate=lambda x: float(x @ x) if x[0] < 0.5 else float("nan"))
         config = VoaConfig(n_particles=12, max_iterations=30, elimination_threshold=3, seed=4)
         report = run(config, objective)
-        plan = small_plan(tmp_path, trace_dir=tmp_path / "traces")
-        write_reports([report], [], plan)
-        with (tmp_path / "traces" / "patchy_d2_s4.csv").open(newline="") as fh:
+        path = write_trace(report, tmp_path)
+        assert path == tmp_path / "patchy_d2_s4.csv"
+        with path.open(newline="") as fh:
             header, *rows = csv.reader(fh)
         assert ",".join(header) == TRACE_HEADER
         columns = dict(zip(header, zip(*rows)))
@@ -402,6 +461,16 @@ class TestWriteReports:
         path.write_text("function,dimension,best_fitness\nsphere,2,1.0\n")
         message = (f"{path}: missing column(s) seed, evaluations, iterations, wall_time_ms, "
                    "best_position")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_runs_csv(path)
+
+    @pytest.mark.parametrize("cells", [7, 9])
+    def test_runs_csv_row_of_the_wrong_length_named_by_line(self, tmp_path, cells):
+        good = "sphere,2,1,1.0e-01,100,10,1.000,0.0;0.5"
+        bad = ",".join((good + ",extra").split(",")[:cells])
+        path = tmp_path / "runs.csv"
+        path.write_text("\n".join([RUNS_HEADER, good, bad, good]) + "\n")
+        message = f"{path}:3: {cells} cells, but the header has 8"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_runs_csv(path)
 

@@ -1,8 +1,11 @@
-"""The benchmark's tracer (perfbench/tracing.py) wraps the package from
-outside; these tests run it on a short traced run, so a change to the
-package that breaks the traced benchmark fails here first."""
+"""The benchmark's modules, loaded unedited from perfbench/, run on small
+inputs: the tracer (tracing.py) on a short traced run, and the plan and
+output check (plans.py) on a short pooled plan. A change to the package that
+breaks the benchmark, or its `correct` gate, fails here first."""
 
+import dataclasses
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +13,19 @@ import pytest
 
 from vortexopt import VoaConfig, cli, core, engine, get_objective, harness
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-_spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load("tracing")
+plans = _load("plans")
 
 PATCHED = (engine, harness, cli, core.RandomSource, core.Objective)
 
@@ -41,3 +53,15 @@ def test_traced_run_counts_the_stream_layout_and_restores(per_coordinate_draws):
     plain = engine.run(config, objective)
     assert traced.best_fitness == plain.best_fitness
     assert np.array_equal(traced.best_position, plain.best_position)
+
+
+def test_pooled_plan_passes_the_benchmark_output_check(tmp_path):
+    workload = dataclasses.replace(plans.WORKLOADS["plan-2d"], cells=(("booth", 2),))
+    seeds = (1, 2)
+    plan, jobs = plans.build_plan(workload, seeds, tmp_path / "out", 2)
+    assert jobs == 2
+    reports = plans.run_pipeline(plan, jobs)
+    errors = [f"{r.function},{r.dimension},{r.seed}" for r in reports if r.error]
+    assert plans.failed_keys(plans.load_reference()["plan-2d"],
+                             plans.expected_keys(workload, seeds),
+                             plan.out_dir / "runs.csv", errors) == set()
