@@ -42,7 +42,25 @@ __all__ = [
     "TRACE_HEADER",
 ]
 
-RUNS_HEADER = "function,dimension,seed,best_fitness,evaluations,iterations,wall_time_ms,best_position"
+
+def _sci(value) -> str:
+    return format(float(value), ".5e")
+
+
+# runs.csv, declared once: each column in order is the RunReport field of its
+# name, with the function that writes the field and the one that parses it back.
+_RUNS_COLUMNS = {
+    "function": (str, str),
+    "dimension": (str, int),
+    "seed": (str, int),
+    "best_fitness": (_sci, float),
+    "evaluations": (str, int),
+    "iterations": (str, int),
+    "wall_time_ms": ("{:.3f}".format, float),
+    "best_position": (lambda p: ";".join(repr(float(x)) for x in np.asarray(p).ravel()),
+                      lambda text: np.array([float(x) for x in text.split(";")] if text else [])),
+}
+RUNS_HEADER = ",".join(_RUNS_COLUMNS)
 SUMMARY_HEADER = "function," + ",".join(f"d{d}" for d in GRID_DIMENSIONS)
 TRACE_HEADER = ",".join(["iteration", *(f.name for f in fields(RunTrace))])
 
@@ -257,14 +275,6 @@ def summarize(reports: Iterable[RunReport]) -> list:
     return rows
 
 
-def _sci(value) -> str:
-    return format(float(value), ".5e")
-
-
-def _format_position(position) -> str:
-    return ";".join(repr(float(x)) for x in np.asarray(position).ravel())
-
-
 def summary_grid(summaries) -> tuple:
     """The rows and columns of the summary grid, for every renderer of it.
 
@@ -279,34 +289,29 @@ def summary_grid(summaries) -> tuple:
     return GRID_DIMENSIONS, rows
 
 
+def _write_csv(path: Path, header: str, rows) -> Path:
+    """Write ``header``, then each row's cells comma-joined, one line each."""
+    path.write_text("\n".join([header, *map(",".join, rows)]) + "\n", encoding="utf-8")
+    return path
+
+
 def write_reports(reports, summaries, plan: ExperimentPlan) -> dict:
     """Write runs.csv, the summary grid and a JSON summary.
 
-    The summary grid is ``summary_grid``'s, with ``NA`` for its empty cells.
-    Numbers use fixed scientific notation so repeated identical plans write
-    identical bytes (wall time aside). Trace files are not written here but
-    by ``execute_plan`` as each run ends; ``"traces"`` in the returned paths
-    is the plan's trace directory, or None.
+    runs.csv's cells are written by ``_RUNS_COLUMNS``, the summary grid is
+    ``summary_grid``'s with ``NA`` for its empty cells; fixed number formats
+    make identical plans write identical bytes (wall time aside). Trace files
+    are written not here but by ``execute_plan`` as each run ends; ``"traces"``
+    in the returned paths is the plan's trace directory, or None.
     """
     out_dir = plan.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    lines = [RUNS_HEADER]
-    for r in reports:
-        lines.append(
-            f"{r.function},{r.dimension},{r.seed},{_sci(r.best_fitness)},"
-            f"{r.evaluations},{r.iterations},{r.wall_time_ms:.3f},"
-            f"{_format_position(r.best_position)}"
-        )
-    runs_path = out_dir / "runs.csv"
-    runs_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+    runs_path = _write_csv(out_dir / "runs.csv", RUNS_HEADER, (
+        [write(getattr(r, column)) for column, (write, _) in _RUNS_COLUMNS.items()]
+        for r in reports))
     _, grid = summary_grid(summaries)
-    grid_lines = [SUMMARY_HEADER]
-    for name, medians in grid:
-        grid_lines.append(name + "," + ",".join("NA" if m is None else _sci(m) for m in medians))
-    summary_path = out_dir / "summary.csv"
-    summary_path.write_text("\n".join(grid_lines) + "\n", encoding="utf-8")
+    summary_path = _write_csv(out_dir / "summary.csv", SUMMARY_HEADER, (
+        [name, *("NA" if m is None else _sci(m) for m in medians)] for name, medians in grid))
 
     payload = {
         "config": asdict(plan.config),
@@ -332,28 +337,19 @@ def write_trace(report: RunReport, trace_dir) -> Path:
     One ``TRACE_HEADER`` row, then one row per trace row: the iteration,
     then each ``RunTrace`` field, reals in fixed scientific notation.
     """
-    columns = [map(str, range(len(report.trace)))]
-    for f in fields(report.trace):
-        col = getattr(report.trace, f.name)
-        columns.append(map(_sci, col.tolist()) if col.dtype.kind == "f"
-                       else map(str, col.astype(np.int64).tolist()))
-    rows = [TRACE_HEADER, *map(",".join, zip(*columns))]
+    trace = report.trace
+    columns = [trace.iteration, *(getattr(trace, f.name) for f in fields(trace))]
+    rows = zip(*(map(_sci, col.tolist()) if col.dtype.kind == "f"
+                 else map(str, col.astype(np.int64).tolist()) for col in columns))
     path = Path(trace_dir) / f"{report.function}_d{report.dimension}_s{report.seed}.csv"
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    return path
-
-
-# How each runs.csv column parses back into the RunReport field of its name.
-_RUNS_COLUMNS = {"function": str, "dimension": int, "seed": int, "best_fitness": float,
-                 "evaluations": int, "iterations": int, "wall_time_ms": float,
-                 "best_position": lambda text: np.array(
-                     [float(x) for x in text.split(";")] if text else [], dtype=np.float64)}
+    return _write_csv(path, TRACE_HEADER, rows)
 
 
 def read_runs_csv(path) -> list:
-    """Load per-run reports back from runs.csv (config and trace omitted); bad input
-    (not UTF-8, a missing column, a row whose cell count differs from the header's,
-    a cell that does not parse) fails naming the file."""
+    """Load per-run reports back from runs.csv through ``_RUNS_COLUMNS`` (config and
+    trace omitted); bad input (not UTF-8, a missing or repeated column, a row whose
+    cell count differs from the header's, a cell that does not parse) fails naming
+    the file."""
     path = Path(path)
     try:
         reader = csv.reader(path.read_text(encoding="utf-8").splitlines(keepends=True))
@@ -363,6 +359,9 @@ def read_runs_csv(path) -> list:
     missing = [c for c in _RUNS_COLUMNS if c not in header]
     if missing:
         raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+    repeated = [c for c in dict.fromkeys(header) if header.count(c) > 1]
+    if repeated:
+        raise ValueError(f"{path}: repeated column(s) {', '.join(repeated)}")
     reports = []
     for cells in reader:
         if not cells:  # a blank line
@@ -372,7 +371,7 @@ def read_runs_csv(path) -> list:
                              f"has {len(header)}")
         row = dict(zip(header, cells))
         values = {}
-        for column, parse in _RUNS_COLUMNS.items():
+        for column, (_, parse) in _RUNS_COLUMNS.items():
             try:
                 values[column] = parse(row[column])
             except ValueError:

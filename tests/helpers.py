@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from vortexopt import VoaConfig, engine
+from vortexopt.harness import RUNS_HEADER
 
 STAGES = ("initialize_swarm", "mark_vortices", "vorticity_pull", "vorticity_decay",
           "move_toward_best", "refresh_fitness_and_best", "eliminate_and_respawn")
@@ -14,12 +15,15 @@ STAGES = ("initialize_swarm", "mark_vortices", "vorticity_pull", "vorticity_deca
 
 def strip_wall_column(csv_text):
     """Drop the wall_time_ms column so run CSVs can be compared byte-wise."""
+    columns = RUNS_HEADER.split(",")
+    assert "wall_time_ms" in columns
+    wall = columns.index("wall_time_ms")
     out_lines = []
     for line in csv_text.splitlines():
         cells = line.split(",")
         header = cells and cells[0] == "function"
-        kept = [c for i, c in enumerate(cells) if i != 6]
-        assert header is False or cells[6] == "wall_time_ms"
+        kept = [c for i, c in enumerate(cells) if i != wall]
+        assert header is False or cells[wall] == "wall_time_ms"
         out_lines.append(",".join(kept))
     return "\n".join(out_lines)
 

@@ -339,6 +339,18 @@ class TestMain:
         (err,) = capsys.readouterr().err.splitlines()
         assert err.startswith(f"error: {out / 'runs.csv'}: missing column(s) seed,")
 
+    def test_check_names_a_runs_csv_repeated_column(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (1, 2)])
+        runs = out / "runs.csv"
+        header, *rows = runs.read_text().splitlines()
+        runs.write_text("\n".join([f"{header},seed", *(f"{row},7" for row in rows)]) + "\n")
+        assert main(["check", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        (err,) = captured.err.splitlines()
+        assert err == f"error: {runs}: repeated column(s) seed"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("row", ["sphere,2,2,1.0e-09,100,10,1.000",
                                      "sphere,2,2,1.0e-09,100,10,1.000,0.0,0.0"])
     def test_check_names_a_runs_csv_row_of_the_wrong_length(self, tmp_path, capsys, row):

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vortexopt.harness as harness
 from helpers import strip_wall_column
@@ -20,6 +22,7 @@ from vortexopt import (
     summarize,
     write_reports,
 )
+from vortexopt.benchmarks import benchmark_names
 from vortexopt.engine import RunReport, RunTrace
 from vortexopt.harness import (
     REFERENCE_RESULTS,
@@ -474,6 +477,20 @@ class TestWriteReports:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_runs_csv(path)
 
+    def test_runs_csv_repeated_column_named(self, tmp_path):
+        # Read as a dict, the second seed cell would silently win: seed 7, not 1.
+        path = tmp_path / "runs.csv"
+        path.write_text(f"{RUNS_HEADER},seed\nsphere,2,1,1.0e-01,100,10,1.000,0.0;0.5,7\n")
+        message = f"{path}: repeated column(s) seed"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_runs_csv(path)
+
+    def test_runs_csv_unknown_extra_column_accepted(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text(f"note,{RUNS_HEADER}\nhello,sphere,2,1,1.0e-01,100,10,1.000,0.0;0.5\n")
+        (report,) = read_runs_csv(path)
+        assert (report.function, report.seed, report.best_fitness) == ("sphere", 1, 0.1)
+
     def test_runs_csv_not_utf8_named(self, tmp_path):
         path = tmp_path / "runs.csv"
         path.write_bytes(RUNS_HEADER.encode() + b"\nsphere,2,1,1.0,100,10,1.000,\xff\n")
@@ -504,6 +521,43 @@ class TestWriteReports:
         assert payload["config"]["n_particles"] == 50
         assert payload["seeds"] == [1, 2, 3]
         assert {row["function"] for row in payload["rows"]} == {"booth", "beale"}
+
+
+# Reals that fixed-width formats are most likely to mangle, mixed into all floats.
+_EDGE_REALS = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.2250738585072e-308])
+_REALS = st.floats(allow_subnormal=True) | _EDGE_REALS
+_COUNTS = st.integers(0, 2**63 - 1)
+_REPORTS = st.builds(
+    RunReport,
+    function=st.sampled_from(benchmark_names()),
+    dimension=st.integers(1, 10**6),
+    seed=st.integers(0, 2**64 - 1),
+    best_fitness=_REALS,
+    best_position=st.lists(_REALS, max_size=6).map(lambda xs: np.array(xs, dtype=np.float64)),
+    evaluations=_COUNTS,
+    iterations=_COUNTS,
+    wall_time_ms=st.floats(min_value=0.0, max_value=1e12),
+)
+
+
+class TestRunsCsvRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(reports=st.lists(_REPORTS, max_size=4))
+    def test_write_read_write_is_byte_identical(self, tmp_path_factory, reports):
+        plan = make_plan(functions=["booth"], seed_count=1,
+                         out_dir=tmp_path_factory.mktemp("roundtrip"))
+        written = write_reports(reports, [], plan)["runs"].read_bytes()
+        reread = read_runs_csv(plan.out_dir / "runs.csv")
+        assert write_reports(reread, [], plan)["runs"].read_bytes() == written
+
+        header, *rows = csv.reader(written.decode("utf-8").splitlines())
+        assert ",".join(header) == RUNS_HEADER
+        assert len(rows) == len(reports)
+        for row in rows:
+            assert len(row) == len(header)
+            for column, cell in zip(header, row):
+                write, parse = harness._RUNS_COLUMNS[column]
+                assert write(parse(cell)) == cell, column
 
 
 class TestChecks:

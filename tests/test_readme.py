@@ -1,14 +1,16 @@
 """The README's examples run as written.
 
-The Library block is executed, and the ``example.cfg`` block is parsed by
-the CLI's ``--config`` path.
+The Library block is executed, the ``example.cfg`` block is parsed by the
+CLI's ``--config`` path, and the documented runs.csv header is the real one.
 """
 
 import contextlib
 import io
+import re
 from pathlib import Path
 
 from vortexopt.cli import parse_plan
+from vortexopt.harness import RUNS_HEADER
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -43,3 +45,10 @@ def test_config_example_parses(tmp_path):
     assert plan.cells() == [("booth", 2), ("sphere", 2), ("sphere", 5)]
     assert plan.seeds == tuple(range(1, 11))
     assert plan.config.max_iterations == 2000
+
+
+def test_documented_runs_header_is_the_written_one():
+    text = README.read_text(encoding="utf-8")
+    (header,) = re.findall(r"`runs\.csv`, one row per \(function, dimension, seed\):\s*`([^`]*)`",
+                           text)
+    assert header == RUNS_HEADER
