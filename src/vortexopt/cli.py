@@ -33,14 +33,6 @@ from .harness import (
 _DEFAULT = VoaConfig()
 
 
-def _draw_mode(text: str) -> bool:
-    """``VoaConfig.per_coordinate_draws`` for a draw-mode name."""
-    if text not in ("coordinate", "shared"):
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {text!r} (choose from 'coordinate', 'shared')")
-    return text == "coordinate"
-
-
 class Setting(NamedTuple):
     """A ``run`` setting: its long flag, which is also its config-file key;
     the parser of one text value; the ``VoaConfig`` field it sets (None for a
@@ -70,9 +62,6 @@ RUN_SETTINGS = {s.flag: s for s in (
             "their count is at or below this (default {default})"),
     Setting("pull-epsilon", float, "pull_epsilon",
             "divisor guard in the vorticity pull (default {default:g})"),
-    Setting("draw-mode", _draw_mode, "per_coordinate_draws", "position-update randomness: "
-            "one draw per coordinate (coordinate) or per particle (shared); default: "
-            + ("coordinate" if _DEFAULT.per_coordinate_draws else "shared")),
     Setting("target-fitness", float, "target_fitness",
             "stop a run early once the best reaches this value"),
     Setting("jobs", int, None, "parallel runs, at least 1 (default: usable CPUs)"),
@@ -82,10 +71,13 @@ RUN_SETTINGS = {s.flag: s for s in (
 
 
 def load_config_file(path) -> dict:
-    """Parse a flat key=value settings file into ``{flag: value}``; rejects
-    unknown keys and values that do not parse, naming the line."""
-    options = {}
-    text = Path(path).read_text(encoding="utf-8")
+    """Parse a flat key=value settings file into ``{flag: value}``; rejects a file that
+    is not UTF-8, naming it, and unknown or repeated keys and bad values, naming the line."""
+    options, seen = {}, {}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -95,6 +87,9 @@ def load_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in RUN_SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ValueError(f"{path}:{lineno}: repeated key {key!r} (first on line {seen[key]})")
+        seen[key] = lineno
         if not value:
             raise ValueError(f"{path}:{lineno}: empty value for {key!r}")
         setting = RUN_SETTINGS[key]
@@ -103,7 +98,7 @@ def load_config_file(path) -> dict:
                 options[key] = [setting.parse(p.strip()) for p in value.split(",") if p.strip()]
             else:
                 options[key] = setting.parse(value)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return options
 
@@ -193,13 +188,11 @@ def _cmd_run(ns) -> int:
 def _cmd_check(ns) -> int:
     runs_path = Path(ns.out) / "runs.csv"
     if not runs_path.exists():
-        print(f"error: {runs_path} not found; run `vortexopt run` first", file=sys.stderr)
-        return 2
+        raise ValueError(f"{runs_path} not found; run `vortexopt run` first")
     reports = read_runs_csv(runs_path)
     results = evaluate_checks(summarize(reports))
     if not results:
-        print("error: no checkable cells in the results", file=sys.stderr)
-        return 2
+        raise ValueError("no checkable cells in the results")
     summary_path = Path(ns.out) / "summary.json"
     try:
         summary = json.loads(summary_path.read_text(encoding="utf-8")) if summary_path.exists() else {}
@@ -212,13 +205,10 @@ def _cmd_check(ns) -> int:
         if differing:
             print(f"warning: the results were run with {', '.join(differing)}; the reference "
                   "table is for the default configuration", file=sys.stderr)
-    any_fail = False
     for res in results:
-        verdict = "PASS" if res.passed else "FAIL"
-        any_fail = any_fail or not res.passed
-        print(f"{verdict} {res.function} d={res.dimension} median={res.median:.6e} "
-              f"reference={res.reference_value:.4f} rule: {res.rule}")
-    return 1 if any_fail else 0
+        print(f"{'PASS' if res.passed else 'FAIL'} {res.function} d={res.dimension} "
+              f"median={res.median:.6e} reference={res.reference_value:.4f} rule: {res.rule}")
+    return 0 if all(res.passed for res in results) else 1
 
 
 def _cmd_list(_ns) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -148,10 +148,9 @@ class VoaConfig:
     threshold equal to the population size (so every below-average particle is
     respawned each iteration).
 
-    ``per_coordinate_draws``, a bool, selects how the position update consumes
-    randomness: one independent draw per coordinate (default), or a single
-    draw shared by all coordinates of a particle, which restricts each move to
-    the line through the global best.
+    ``per_coordinate_draws`` records, for ``summary.json`` and the benchmark's
+    tracer, that the position update takes one draw per coordinate; it is
+    always True and cannot be set.
 
     ``seed``, ``n_particles``, ``max_iterations`` and ``elimination_threshold``
     must be integers (Python or numpy, stored as ``int``); floats, strings and
@@ -171,7 +170,7 @@ class VoaConfig:
     elimination_threshold: int = 50
     seed: int = 1
     pull_epsilon: float = 1e-9
-    per_coordinate_draws: bool = True
+    per_coordinate_draws: bool = field(default=True, init=False)
     target_fitness: Optional[float] = None
 
     def __post_init__(self):
@@ -188,9 +187,6 @@ class VoaConfig:
             object.__setattr__(self, "target_fitness", as_real("target_fitness", self.target_fitness))
             if math.isnan(self.target_fitness):
                 raise ValueError("target_fitness must not be NaN")
-        if not isinstance(self.per_coordinate_draws, (bool, np.bool_)):
-            raise ValueError(f"per_coordinate_draws must be a bool, got {self.per_coordinate_draws!r}")
-        object.__setattr__(self, "per_coordinate_draws", bool(self.per_coordinate_draws))
         if self.n_particles < 2:
             raise ValueError(f"n_particles must be >= 2, got {self.n_particles}")
         if self.max_iterations < 0:

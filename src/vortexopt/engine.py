@@ -239,8 +239,8 @@ def advance_iteration(state: SwarmState, config: VoaConfig, objective: Objective
     # counts are known once marking is done, so they come from one call.
     # Marking keeps the record holder a vortex, and the holder does not decay.
     k = int(np.count_nonzero(state.is_vortex)) - 1
-    m = objective.dimension if config.per_coordinate_draws else 1
-    draws = rng.uniform_unit_batch(n + k + (n - 1) * m)
+    d = objective.dimension
+    draws = rng.uniform_unit_batch(n + k + (n - 1) * d)
 
     # Vorticity pull toward the record, every particle including the holder.
     state.vorticity = vorticity_pull(state.vorticity, state.best_vorticity, draws[:n],
@@ -257,8 +257,8 @@ def advance_iteration(state: SwarmState, config: VoaConfig, objective: Objective
     # Move the whole swarm toward the recorded best position, with a zero draw
     # at the holder's row, then restore the holder's row: it does not move.
     r = draws[n + k:]
-    split = holder * m
-    r = np.concatenate((r[:split], np.zeros(m), r[split:])).reshape(n, m)
+    split = holder * d
+    r = np.concatenate((r[:split], np.zeros(d), r[split:])).reshape(n, d)
     before = state.positions
     state.positions = move_toward_best(before, state.vorticity, state.best_position,
                                        r, objective.lower, objective.upper)

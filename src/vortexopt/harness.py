@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -160,12 +161,17 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
     count = as_integer("seed_count", DEFAULT_SEED_COUNT if seed_count is None else seed_count)
     if count < 1:
         raise ValueError(f"seed count must be >= 1, got {count}")
-    if "seed" in (config_overrides or {}):
+    overrides = config_overrides or {}
+    if "seed" in overrides:
         raise ValueError("config_overrides cannot set the seed; use base_seed and seed_count")
+    settable = {f.name for f in fields(VoaConfig) if f.init}
+    unknown = ", ".join(str(key) for key in overrides if key not in settable)
+    if unknown:
+        raise ValueError(f"config_overrides cannot set {unknown}: no such VoaConfig field")
     return ExperimentPlan(
         dimensions=dimensions,
         seeds=tuple(range(base, base + count)),
-        config=VoaConfig(**(config_overrides or {})),
+        config=VoaConfig(**overrides),
         out_dir=Path(DEFAULT_OUT_DIR if out_dir is None else out_dir),
         trace_dir=Path(trace_dir) if trace_dir else None,
     )
@@ -290,8 +296,14 @@ def summary_grid(summaries) -> tuple:
 
 
 def _write_csv(path: Path, header: str, rows) -> Path:
-    """Write ``header``, then each row's cells comma-joined, one line each."""
-    path.write_text("\n".join([header, *map(",".join, rows)]) + "\n", encoding="utf-8")
+    """Write ``header``, then each row through ``csv.writer``, one line each; a row
+    holding a CR, which the writer does not quote before an LF terminator, is quoted whole."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        minimal = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in rows:
+            (quoted if "\r" in "".join(row) else minimal).writerow(row)
     return path
 
 
@@ -351,8 +363,8 @@ def read_runs_csv(path) -> list:
     cell count differs from the header's, a cell that does not parse) fails naming
     the file."""
     path = Path(path)
-    try:
-        reader = csv.reader(path.read_text(encoding="utf-8").splitlines(keepends=True))
+    try:  # not read_text: its newline translation would turn a quoted CR into LF
+        reader = csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     header = next(reader, [])

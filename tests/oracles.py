@@ -127,7 +127,6 @@ def reference_run(config, objective):
     n, d = config.n_particles, objective.dimension
     lower, upper = [float(b[0]) for b in objective.bounds], [float(b[1]) for b in objective.bounds]
     v_min, v_max = config.min_vorticity, config.max_vorticity
-    m = d if config.per_coordinate_draws else 1
     stream = _Stream(config.seed)
 
     def box_points(count):
@@ -177,9 +176,9 @@ def reference_run(config, objective):
         for i in range(n):
             if i == holder:
                 continue
-            rs = stream.take(m)
+            rs = stream.take(d)
             for j in range(d):
-                step = (rs[j] if m == d else rs[0]) * vort[i]
+                step = rs[j] * vort[i]
                 pos[i][j] = _clamp(pos[i][j] + step * (best_pos[j] - pos[i][j]),
                                    lower[j], upper[j])
 

@@ -34,7 +34,6 @@ SAMPLES = {
     "min-vorticity": ["-2.5"],
     "elimination": ["6"],
     "pull-epsilon": ["1e-6"],
-    "draw-mode": ["shared"],
     "target-fitness": ["1e-8"],
     "jobs": ["2"],
     "out": ["res"],
@@ -87,7 +86,7 @@ class TestParsePlan:
         plan, jobs = parse_plan([
             "--particles", "10", "--iterations", "100", "--init-vorticity", "0.25",
             "--max-vorticity", "3.0", "--elimination", "4", "--base-seed", "50",
-            "--seeds", "2", "--draw-mode", "shared", "--jobs", "2",
+            "--seeds", "2", "--jobs", "2",
         ])
         config = plan.config
         assert config.n_particles == 10
@@ -96,7 +95,6 @@ class TestParsePlan:
         assert config.max_vorticity == 3.0
         assert config.min_vorticity == -3.0
         assert config.elimination_threshold == 4
-        assert config.per_coordinate_draws is False
         assert plan.seeds == (50, 51)
         assert jobs == 2
 
@@ -110,13 +108,11 @@ class TestConfigFile:
             "dim = 2\n"
             "seeds = 4\n"
             "iterations = 123\n"
-            "draw-mode = shared\n"
         )
         plan, _ = parse_plan(["--config", str(cfg)])
         assert plan.cells() == [("sphere", 2), ("rosenbrock", 2)]
         assert plan.seeds == (1, 2, 3, 4)
         assert plan.config.max_iterations == 123
-        assert plan.config.per_coordinate_draws is False
 
     def test_cli_flags_override_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -143,14 +139,33 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="bad value"):
             load_config_file(cfg)
 
-    def test_bad_draw_mode_names_its_line_and_both_modes(self, tmp_path):
+    def test_draw_mode_is_an_unknown_key_naming_its_line(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("seeds = 2\ndraw-mode = bogus\n")
-        with pytest.raises(ValueError, match=re.escape(f"{cfg}:2: bad value for 'draw-mode'")) \
-                as excinfo:
+        cfg.write_text("seeds = 2\ndraw-mode = shared\n")
+        with pytest.raises(ValueError, match=re.escape(f"{cfg}:2: unknown key 'draw-mode'")):
             load_config_file(cfg)
-        assert "'coordinate'" in str(excinfo.value)
-        assert "'shared'" in str(excinfo.value)
+
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("iterations = 5\nseeds = 2\n# again\niterations = 7\n")
+        assert main(["run", "--config", str(cfg), "--function", "booth", "--jobs", "1",
+                     "--out", str(tmp_path / "res")]) == 2
+        captured = capsys.readouterr()
+        (err,) = captured.err.splitlines()
+        assert err == f"error: {cfg}:4: repeated key 'iterations' (first on line 1)"
+        assert captured.out == ""
+        assert not (tmp_path / "res").exists()
+
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"seeds = 2\niterations = \xff\n")
+        assert main(["run", "--config", str(cfg), "--function", "booth", "--jobs", "1",
+                     "--out", str(tmp_path / "res")]) == 2
+        captured = capsys.readouterr()
+        (err,) = captured.err.splitlines()
+        assert err.startswith(f"error: {cfg}: 'utf-8' codec can't decode")
+        assert captured.out == ""
+        assert not (tmp_path / "res").exists()
 
 
 class TestRunSettings:
@@ -174,13 +189,12 @@ class TestRunSettings:
         flags = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
         assert flags == set(RUN_SETTINGS) | {"config", "help"}
 
-    def test_bad_draw_mode_flag_exits_2_naming_both_modes(self, capsys):
+    def test_draw_mode_flag_exits_2_naming_the_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--draw-mode", "bogus"])
+            main(["run", "--draw-mode", "shared"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "--draw-mode" in err
-        assert "'coordinate'" in err and "'shared'" in err
+        assert "unrecognized arguments: --draw-mode" in err
 
 
 class TestMain:

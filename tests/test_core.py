@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -232,14 +234,11 @@ class TestVoaConfig:
             assert type(getattr(config, name)) is float, name
         assert VoaConfig(target_fitness=float("-inf")).target_fitness == float("-inf")
 
-    @pytest.mark.parametrize("value", ["shared", 1, 0, None, "coordinate"])
-    def test_draw_mode_must_be_a_bool(self, value):
-        with pytest.raises(ValueError, match="^per_coordinate_draws must be a bool"):
-            VoaConfig(per_coordinate_draws=value)
-
-    def test_numpy_bool_draw_mode_stored_as_bool(self):
-        config = VoaConfig(per_coordinate_draws=np.False_)
-        assert config.per_coordinate_draws is False
+    def test_per_coordinate_draws_is_a_fixed_field(self):
+        assert VoaConfig().per_coordinate_draws is True
+        assert asdict(VoaConfig())["per_coordinate_draws"] is True
+        with pytest.raises(TypeError, match="per_coordinate_draws"):
+            VoaConfig(per_coordinate_draws=True)
 
     def test_numpy_integers_accepted_as_int(self):
         config = VoaConfig(seed=np.int64(3), n_particles=np.int32(20),

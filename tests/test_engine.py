@@ -312,12 +312,6 @@ class TestRun:
         assert np.all(np.abs(state.vorticity[state.is_vortex]) <= config.max_vorticity)
         assert np.all(state.vorticity[~state.is_vortex] == 100.0)
 
-    def test_shared_draw_mode_runs_and_differs(self):
-        objective = get_objective("sphere", 2)
-        a = run(VoaConfig(max_iterations=100, seed=4), objective)
-        b = run(VoaConfig(max_iterations=100, seed=4, per_coordinate_draws=False), objective)
-        assert a.best_fitness != b.best_fitness
-
 
 STAGES = ("mark_vortices", "vorticity_pull", "vorticity_decay", "move_toward_best",
           "refresh_fitness_and_best", "eliminate_and_respawn")
@@ -328,14 +322,13 @@ class TestIterationContract:
 
     @pytest.mark.parametrize("name,dimension,kwargs", [
         ("booth", 2, {}),
-        ("sphere", 5, {"per_coordinate_draws": False}),
+        ("sphere", 5, {}),
         ("rosenbrock", 3, {"n_particles": 12, "elimination_threshold": 3}),
     ])
     def test_iteration_consumes_the_stream_layout(self, monkeypatch, name, dimension, kwargs):
         config = VoaConfig(seed=21, **kwargs)
         objective = get_objective(name, dimension)
         n = config.n_particles
-        m = dimension if config.per_coordinate_draws else 1
         vortices, respawned = [], []
         real_mark, real_eliminate = engine.mark_vortices, engine.eliminate_and_respawn
 
@@ -357,7 +350,7 @@ class TestIterationContract:
         used = n * dimension + 1
         for it in range(8):
             advance_iteration(state, config, objective, rng)
-            used += n + (vortices[it] - 1) + (n - 1) * m + respawned[it] * dimension
+            used += n + (vortices[it] - 1) + (n - 1) * dimension + respawned[it] * dimension
             # The next draw is the one right after the counted ones.
             assert rng.uniform_unit() == splitmix64_units(config.seed, used + 1)[-1]
             used += 1

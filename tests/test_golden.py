@@ -3,9 +3,9 @@
 Each case pins ``repr(best_fitness)``, the evaluation and iteration counts,
 and a sha256 over ``best_position`` and every trace column. The cases cover
 every registry function, the scalable ones at d=10 and d=30, and the
-non-default configurations (shared move draws, early stop at a target, a
-small swarm with a low elimination threshold, an initial vorticity outside
-the clamp, an objective that returns inf/nan over part of its box), so any
+non-default configurations (early stop at a target, a small swarm with a
+low elimination threshold, an initial vorticity outside the clamp, an
+objective that returns inf/nan over part of its box), so any
 change to the arithmetic or to the random stream layout shows up here.
 """
 
@@ -44,8 +44,6 @@ CASES = [
     ("sphere_d30", "sphere", 30, {"max_iterations": 150, "seed": 7}),
     ("rosenbrock_d10", "rosenbrock", 10, {"max_iterations": 200, "seed": 8}),
     ("rosenbrock_d30", "rosenbrock", 30, {"max_iterations": 150, "seed": 9}),
-    ("shared_draws", "rosenbrock", 5,
-     {"max_iterations": 300, "seed": 10, "per_coordinate_draws": False}),
     ("target_stop", "booth", 2, {"max_iterations": 300, "seed": 11, "target_fitness": 1e-8}),
     ("small_swarm", "sphere", 10,
      {"max_iterations": 300, "seed": 12, "n_particles": 20, "elimination_threshold": 5}),
@@ -96,8 +94,6 @@ GOLDEN = {
         "1bcd58eca6bf610eb09eb9935079981e3bac2cb0de63ce460b1b062d7eb81c3d"),
     "rosenbrock_d30": ("7947708.979084444", 10601, 150,
         "90f9fa3a1de285a333af81267e79e6f380d5511ec3f79b7cf4bb908a27a25b20"),
-    "shared_draws": ("590.1459964518401", 15656, 300,
-        "b208fa95988beaffe5f30e52d9186d122b10a3a67660766d298d46e2533b70a0"),
     "target_stop": ("1.0288691304921427e-09", 1232, 21,
         "68de5146f638978aafe56d2b3b5564025194ab8a473ef4ba43c948fd543cacd7"),
     "small_swarm": ("0.909183645759551", 7199, 300,

@@ -1,11 +1,12 @@
 import csv
 import dataclasses
+import io
 import pickle
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vortexopt.harness as harness
@@ -60,6 +61,12 @@ class TestMakePlan:
         with pytest.raises(ValueError, match="cannot set the seed; use base_seed and seed_count"):
             make_plan(functions=["booth"], seed_count=2, config_overrides={"seed": 99},
                       out_dir=tmp_path)
+
+    def test_override_of_no_settable_field_rejected_naming_it(self, tmp_path):
+        with pytest.raises(ValueError, match="^config_overrides cannot set momentum, "
+                           "per_coordinate_draws: no such VoaConfig field$"):
+            make_plan(functions=["booth"], out_dir=tmp_path, config_overrides={
+                "max_iterations": 5, "momentum": 0.9, "per_coordinate_draws": False})
 
     def test_default_plan_covers_the_full_grid(self, tmp_path):
         plan = make_plan(out_dir=tmp_path)
@@ -529,7 +536,8 @@ _REALS = st.floats(allow_subnormal=True) | _EDGE_REALS
 _COUNTS = st.integers(0, 2**63 - 1)
 _REPORTS = st.builds(
     RunReport,
-    function=st.sampled_from(benchmark_names()),
+    # Registry names, and user Objective names that hold commas, quotes or line breaks.
+    function=st.sampled_from(benchmark_names()) | st.text(),
     dimension=st.integers(1, 10**6),
     seed=st.integers(0, 2**64 - 1),
     best_fitness=_REALS,
@@ -543,14 +551,16 @@ _REPORTS = st.builds(
 class TestRunsCsvRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(reports=st.lists(_REPORTS, max_size=4))
+    @example(reports=[RunReport("ridge,2", 2, 1), RunReport('say "hi"\nthen\rbye', 3, 2)])
     def test_write_read_write_is_byte_identical(self, tmp_path_factory, reports):
         plan = make_plan(functions=["booth"], seed_count=1,
                          out_dir=tmp_path_factory.mktemp("roundtrip"))
         written = write_reports(reports, [], plan)["runs"].read_bytes()
         reread = read_runs_csv(plan.out_dir / "runs.csv")
+        assert [r.function for r in reread] == [r.function for r in reports]
         assert write_reports(reread, [], plan)["runs"].read_bytes() == written
 
-        header, *rows = csv.reader(written.decode("utf-8").splitlines())
+        header, *rows = csv.reader(io.StringIO(written.decode("utf-8"), newline=""))
         assert ",".join(header) == RUNS_HEADER
         assert len(rows) == len(reports)
         for row in rows:

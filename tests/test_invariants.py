@@ -121,10 +121,6 @@ class TestFullRunInvariants:
         config = VoaConfig(max_iterations=80, seed=6)
         run_with_invariant_checks(config, get_objective("mccormick", 2))
 
-    def test_shared_draw_mode_invariants(self):
-        config = VoaConfig(max_iterations=80, seed=4, per_coordinate_draws=False)
-        run_with_invariant_checks(config, get_objective("rosenbrock", 3))
-
     def test_small_elimination_threshold_invariants(self):
         config = VoaConfig(max_iterations=120, seed=9, elimination_threshold=5)
         run_with_invariant_checks(config, get_objective("sphere", 2))

@@ -9,7 +9,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from vortexopt import VoaConfig, cli, core, engine, get_objective, harness
 
@@ -30,9 +29,8 @@ plans = _load("plans")
 PATCHED = (engine, harness, cli, core.RandomSource, core.Objective)
 
 
-@pytest.mark.parametrize("per_coordinate_draws", [True, False])
-def test_traced_run_counts_the_stream_layout_and_restores(per_coordinate_draws):
-    config = VoaConfig(seed=3, max_iterations=5, per_coordinate_draws=per_coordinate_draws)
+def test_traced_run_counts_the_stream_layout_and_restores():
+    config = VoaConfig(seed=3, max_iterations=5)
     objective = get_objective("booth", 2)
     before = [dict(vars(owner)) for owner in PATCHED]
     tracer = tracing.Tracer()

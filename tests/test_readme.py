@@ -1,7 +1,8 @@
 """The README's examples run as written.
 
 The Library block is executed, the ``example.cfg`` block is parsed by the
-CLI's ``--config`` path, and the documented runs.csv header is the real one.
+CLI's ``--config`` path, the documented runs.csv header is the real one, and
+the documented engine parameters are the real ones.
 """
 
 import contextlib
@@ -9,7 +10,7 @@ import io
 import re
 from pathlib import Path
 
-from vortexopt.cli import parse_plan
+from vortexopt.cli import RUN_SETTINGS, parse_plan
 from vortexopt.harness import RUNS_HEADER
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -52,3 +53,11 @@ def test_documented_runs_header_is_the_written_one():
     (header,) = re.findall(r"`runs\.csv`, one row per \(function, dimension, seed\):\s*`([^`]*)`",
                            text)
     assert header == RUNS_HEADER
+
+
+def test_documented_engine_parameters_are_the_config_settings():
+    text = README.read_text(encoding="utf-8")
+    (paragraph,) = re.findall(r"^Engine parameters:.*?\n\n", text, flags=re.MULTILINE | re.DOTALL)
+    documented = re.findall(r"`--([a-z][a-z-]*)", paragraph)
+    assert len(documented) == len(set(documented))
+    assert set(documented) == {s.flag for s in RUN_SETTINGS.values() if s.field is not None}

@@ -55,7 +55,6 @@ def cases(draw):
         elimination_threshold=draw(st.integers(0, n)),
         seed=draw(st.integers(0, 2**64 - 1)),
         pull_epsilon=draw(st.sampled_from([1e-9, 0.05, 0.5])),
-        per_coordinate_draws=draw(st.booleans()),
         target_fitness=draw(st.none() | st.sampled_from([0.0, 1e-6, 1.0, 4.0, 50.0])),
     )
     return config, _objective(name, dimension)
