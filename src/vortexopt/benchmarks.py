@@ -244,7 +244,6 @@ def get_objective(name: str, dimension: int) -> Objective:
     dimension = spec.check_dimension(dimension)
     return Objective(
         name=name,
-        dimension=dimension,
         bounds=spec.bounds(dimension),
         evaluate=_scalar(spec.batch),
         evaluate_batch=spec.batch,

@@ -59,7 +59,7 @@ RUN_SETTINGS = {s.flag: s for s in (
     Setting("min-vorticity", float, "min_vorticity",
             "vorticity lower clamp (default: negated upper clamp)"),
     Setting("elimination", int, "elimination_threshold", "respawn all normal particles when "
-            "their count is at or below this (default {default})"),
+            "their count is at or below this (default: the population size)"),
     Setting("pull-epsilon", float, "pull_epsilon",
             "divisor guard in the vorticity pull (default {default:g})"),
     Setting("target-fitness", float, "target_fitness",
@@ -90,16 +90,16 @@ def load_config_file(path) -> dict:
         if key in seen:
             raise ValueError(f"{path}:{lineno}: repeated key {key!r} (first on line {seen[key]})")
         seen[key] = lineno
-        if not value:
-            raise ValueError(f"{path}:{lineno}: empty value for {key!r}")
         setting = RUN_SETTINGS[key]
+        parts = value.split(",") if setting.repeat else [value]
+        parts = [p.strip() for p in parts if p.strip()]
+        if not parts:
+            raise ValueError(f"{path}:{lineno}: empty value for {key!r}")
         try:
-            if setting.repeat:
-                options[key] = [setting.parse(p.strip()) for p in value.split(",") if p.strip()]
-            else:
-                options[key] = setting.parse(value)
+            values = [setting.parse(p) for p in parts]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+        options[key] = values if setting.repeat else values[0]
     return options
 
 

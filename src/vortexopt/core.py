@@ -118,26 +118,6 @@ class RandomSource:
         """Return the next uniform draw in [0, 1)."""
         return float(self.uniform_unit_batch(1)[0])
 
-    def uniform_box(self, lower: np.ndarray, upper: np.ndarray, count: int) -> np.ndarray:
-        """Sample ``count`` points uniformly in the box spanned by lower/upper.
-
-        Draws are consumed point-major, coordinate index ascending within each
-        point, so the stream layout is independent of how callers batch.
-        """
-        lower = np.asarray(lower, dtype=np.float64)
-        upper = np.asarray(upper, dtype=np.float64)
-        if (lower >= upper).any():
-            raise ValueError("invalid box: every lower bound must be < its upper bound")
-        return self._box_points(lower, upper, count)
-
-    def _box_points(self, lower: np.ndarray, upper: np.ndarray, count: int) -> np.ndarray:
-        """``uniform_box`` without its checks: the bounds must already be
-        float64 arrays with every lower bound below its upper bound, as
-        ``Objective.lower``/``upper`` are."""
-        d = lower.shape[0]
-        u = self.uniform_unit_batch(count * d).reshape(count, d)
-        return lower + u * (upper - lower)
-
 
 @dataclass(frozen=True)
 class VoaConfig:
@@ -167,13 +147,15 @@ class VoaConfig:
     initial_vorticity: float = 0.5
     max_vorticity: float = 7.0
     min_vorticity: Optional[float] = None
-    elimination_threshold: int = 50
+    elimination_threshold: Optional[int] = None
     seed: int = 1
     pull_epsilon: float = 1e-9
     per_coordinate_draws: bool = field(default=True, init=False)
     target_fitness: Optional[float] = None
 
     def __post_init__(self):
+        if self.elimination_threshold is None:
+            object.__setattr__(self, "elimination_threshold", self.n_particles)
         for name in ("n_particles", "max_iterations", "elimination_threshold"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         object.__setattr__(self, "seed", as_seed("seed", self.seed))
@@ -209,32 +191,28 @@ class VoaConfig:
 class Objective:
     """A box-constrained minimization target.
 
-    ``evaluate`` maps a position vector to a scalar fitness and must be pure:
-    deterministic, side-effect free, and safe to call from concurrent runs.
-    ``evaluate_batch``, when given, must agree with ``evaluate`` row by row
-    and exists only as a vectorization shortcut for the engine. ``dimension``
-    must be an integer (Python or numpy, stored as ``int``). A registry
-    function's known optimum is kept in its ``benchmarks.BenchmarkSpec``.
+    ``bounds`` gives one ``(lower, upper)`` pair per coordinate, and
+    ``dimension`` is their number. ``evaluate`` maps a position vector to a
+    scalar fitness and must be pure: deterministic, side-effect free, and
+    safe to call from concurrent runs. ``evaluate_batch``, when given, must
+    agree with ``evaluate`` row by row and exists only as a vectorization
+    shortcut for the engine. A registry function's known optimum is kept in
+    its ``benchmarks.BenchmarkSpec``.
     """
 
     name: str
-    dimension: int
+    dimension: int = field(init=False)
     bounds: tuple
     evaluate: Callable
     evaluate_batch: Optional[Callable] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "dimension", as_integer("dimension", self.dimension))
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         bounds = tuple((as_real(f"bounds[{i}]", lo), as_real(f"bounds[{i}]", hi))
                        for i, (lo, hi) in enumerate(self.bounds))
+        if not bounds:
+            raise ValueError("bounds must hold at least one (lower, upper) pair")
         object.__setattr__(self, "bounds", bounds)
-        if len(bounds) != self.dimension:
-            raise ValueError(
-                f"bounds must list one (lower, upper) pair per dimension: "
-                f"got {len(bounds)} pairs for dimension {self.dimension}"
-            )
+        object.__setattr__(self, "dimension", len(bounds))
         for i, (lo, hi) in enumerate(bounds):
             if not -math.inf < lo < hi < math.inf:
                 raise ValueError(f"bounds[{i}] must be finite with lower < upper, got ({lo}, {hi})")
@@ -252,6 +230,12 @@ class Objective:
     def upper(self) -> np.ndarray:
         """Read-only array of the upper bounds, one per dimension."""
         return self._upper
+
+    def sample(self, rng: RandomSource, count: int) -> np.ndarray:
+        """Draw ``count`` points uniformly in the box as a (count, dimension)
+        array, taking draws point-major, coordinate index ascending."""
+        u = rng.uniform_unit_batch(count * self.dimension).reshape(count, self.dimension)
+        return self._lower + u * (self._upper - self._lower)
 
     def evaluate_rows(self, positions: np.ndarray) -> np.ndarray:
         """Evaluate a (k, dimension) stack of positions, one fitness per row."""

@@ -146,7 +146,7 @@ def initialize_swarm(config: VoaConfig, objective: Objective, rng: RandomSource)
     vortex, and its values become the best-so-far record.
     """
     n = config.n_particles
-    positions = rng._box_points(objective.lower, objective.upper, n)
+    positions = objective.sample(rng, n)
     fitness = _sanitize(objective.evaluate_rows(positions))
     vorticity = np.full(n, config.initial_vorticity, dtype=np.float64)
     best_index = int(fitness.argmin())
@@ -220,7 +220,7 @@ def eliminate_and_respawn(state: SwarmState, config: VoaConfig, objective: Objec
         return False
     if count:
         normal = (~state.is_vortex).nonzero()[0]
-        fresh = rng._box_points(objective.lower, objective.upper, count)
+        fresh = objective.sample(rng, count)
         state.positions[normal] = fresh
         state.vorticity[normal] = config.initial_vorticity
         state.fitness[normal] = _sanitize(objective.evaluate_rows(fresh))

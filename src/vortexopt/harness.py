@@ -138,16 +138,18 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
 
     With no arguments this is the full reporting grid: every registry function
     at its grid dimensions, 20 consecutive seeds starting at 1, standard
-    configuration, reports in ``DEFAULT_OUT_DIR``. ``dims``, when given, is
-    shared out: each function runs the listed dimensions it supports. A
-    function that supports none of them, or a listed dimension that no
-    function supports, raises the registry's ``check_dimension`` error.
+    configuration, reports in ``DEFAULT_OUT_DIR``. ``dims``, when given, must
+    not be empty and is shared out: each function runs the listed dimensions
+    it supports. A function that supports none of them, or a listed dimension
+    that no function supports, raises the registry's ``check_dimension`` error.
     """
     specs = [get_spec(name) for name in (benchmark_names() if functions is None else functions)]
     if len({spec.name for spec in specs}) != len(specs):
         raise ValueError("functions must be pairwise distinct")
-    if dims:
+    if dims is not None:
         dims = [as_integer("dimension", d) for d in dims]
+        if not dims:
+            raise ValueError("dims must list at least one dimension (None selects each grid)")
         dimensions = {s.name: tuple(d for d in dims if s.supports(d)) for s in specs}
         for spec in specs:
             if not dimensions[spec.name]:
@@ -360,14 +362,24 @@ def write_trace(report: RunReport, trace_dir) -> Path:
 def read_runs_csv(path) -> list:
     """Load per-run reports back from runs.csv through ``_RUNS_COLUMNS`` (config and
     trace omitted); bad input (not UTF-8, a missing or repeated column, a row whose
-    cell count differs from the header's, a cell that does not parse) fails naming
-    the file."""
+    cell count differs from the header's, a cell that does not parse, a csv error)
+    fails naming the file."""
     path = Path(path)
     try:  # not read_text: its newline translation would turn a quoted CR into LF
-        reader = csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    header = next(reader, [])
+    reader = csv.reader(io.StringIO(text, newline=""))
+    # A best_position cell grows with the dimension, past the csv module's default
+    # field limit; no cell is longer than the file. The limit is restored after.
+    limit = csv.field_size_limit(max(len(text), csv.field_size_limit()))
+    try:
+        lines = [(reader.line_num, cells) for cells in reader]
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
+    header = lines[0][1] if lines else []
     missing = [c for c in _RUNS_COLUMNS if c not in header]
     if missing:
         raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
@@ -375,11 +387,11 @@ def read_runs_csv(path) -> list:
     if repeated:
         raise ValueError(f"{path}: repeated column(s) {', '.join(repeated)}")
     reports = []
-    for cells in reader:
+    for line, cells in lines[1:]:
         if not cells:  # a blank line
             continue
         if len(cells) != len(header):
-            raise ValueError(f"{path}:{reader.line_num}: {len(cells)} cells, but the header "
+            raise ValueError(f"{path}:{line}: {len(cells)} cells, but the header "
                              f"has {len(header)}")
         row = dict(zip(header, cells))
         values = {}
@@ -387,7 +399,7 @@ def read_runs_csv(path) -> list:
             try:
                 values[column] = parse(row[column])
             except ValueError:
-                raise ValueError(f"{path}:{reader.line_num}: column {column}: cannot "
+                raise ValueError(f"{path}:{line}: column {column}: cannot "
                                  f"read {row[column]!r}") from None
         reports.append(RunReport(**values))
     return reports

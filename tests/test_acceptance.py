@@ -195,7 +195,7 @@ class TestCriterion10DegenerateInputs:
         assert report.iterations == 0
 
     def test_identical_fitness_marks_everything_vortex(self):
-        flat = Objective(name="flat", dimension=2,
+        flat = Objective(name="flat",
                          bounds=((-1.0, 1.0), (-1.0, 1.0)),
                          evaluate=lambda p: 1.0)
         state = initialize_swarm(VoaConfig(), flat, RandomSource(2))

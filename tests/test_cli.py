@@ -99,6 +99,15 @@ class TestParsePlan:
         assert jobs == 2
 
 
+    @pytest.mark.parametrize("particles", [30, 80])
+    def test_particles_alone_set_the_elimination_threshold(self, particles, capsys):
+        plan, _ = parse_plan(["--particles", str(particles)])
+        assert plan.config.elimination_threshold == plan.config.n_particles == particles
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--help"])
+        assert "(default: the population size)" in " ".join(capsys.readouterr().out.split())
+
+
 class TestConfigFile:
     def test_file_values_used_as_defaults(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -137,6 +146,18 @@ class TestConfigFile:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("iterations = soon\n")
         with pytest.raises(ValueError, match="bad value"):
+            load_config_file(cfg)
+
+    @pytest.mark.parametrize("text,line,key", [
+        ("function = sphere\ndim = ,\n", 2, "dim"),
+        ("function = , ,\n", 1, "function"),
+        ("seeds = 2\niterations =\n", 2, "iterations"),
+    ])
+    def test_value_of_only_commas_is_empty_naming_its_line(self, tmp_path, text, line, key):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        message = f"{cfg}:{line}: empty value for {key!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_config_file(cfg)
 
     def test_draw_mode_is_an_unknown_key_naming_its_line(self, tmp_path):

@@ -2,6 +2,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import splitmix64_units
 from vortexopt import Objective, VoaConfig
@@ -97,24 +99,19 @@ class TestRandomSource:
             RandomSource(seed)
 
     def test_uniform_box_stays_inside(self):
-        rng = RandomSource(3)
-        lower = np.array([-1.5, -3.0])
-        upper = np.array([4.0, 4.0])
-        points = rng.uniform_box(lower, upper, 500)
+        box = Objective(name="box", bounds=((-1.5, 4.0), (-3.0, 4.0)), evaluate=lambda p: 0.0)
+        points = box.sample(RandomSource(3), 500)
         assert points.shape == (500, 2)
-        assert np.all(points >= lower) and np.all(points < upper)
-
-    def test_uniform_box_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            RandomSource(3).uniform_box(np.array([1.0]), np.array([1.0]), 4)
+        assert np.all(points >= box.lower) and np.all(points < box.upper)
 
 
 class TestUniformIn:
-    """Uniform draws in an interval: ``uniform_box`` on a 1-d box."""
+    """Uniform draws in a box: ``Objective.sample``."""
 
     @staticmethod
     def interval(rng, lower, upper, count=1):
-        return rng.uniform_box(np.array([lower]), np.array([upper]), count)[:, 0]
+        box = Objective(name="interval", bounds=((lower, upper),), evaluate=lambda p: 0.0)
+        return box.sample(rng, count)[:, 0]
 
     def test_unit_interval_passthrough(self):
         np.testing.assert_array_equal(self.interval(RandomSource(42), 0.0, 1.0, 5),
@@ -129,11 +126,25 @@ class TestUniformIn:
         np.testing.assert_array_equal(self.interval(RandomSource(2**63 + 5), -4.5, 4.5, 16),
                                       expected)
 
-    def test_rejects_degenerate_interval(self):
-        with pytest.raises(ValueError):
-            self.interval(RandomSource(1), 2.0, 2.0)
-        with pytest.raises(ValueError):
-            self.interval(RandomSource(1), 3.0, -3.0)
+    @given(
+        bounds=st.lists(st.builds(lambda lo, width: (lo, lo + width),
+                                  st.floats(-1e6, 1e6), st.floats(1e-3, 1e6)),
+                        min_size=1, max_size=6),
+        counts=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=50)
+    def test_sample_takes_the_stream_point_major(self, bounds, counts, seed):
+        box = Objective(name="box", bounds=bounds, evaluate=lambda p: 0.0)
+        d = len(bounds)
+        units = splitmix64_units(seed, sum(counts) * d)
+        rng = RandomSource(seed)
+        start = 0
+        for count in counts:  # the second call continues the stream
+            expected = np.array([lo + units[start + i * d + j] * (hi - lo)
+                                 for i in range(count) for j, (lo, hi) in enumerate(bounds)])
+            np.testing.assert_array_equal(box.sample(rng, count), expected.reshape(count, d))
+            start += count * d
 
 
 class TestIntegerChecks:
@@ -173,6 +184,11 @@ class TestVoaConfig:
     def test_min_vorticity_defaults_to_negated_max(self):
         assert VoaConfig(max_vorticity=3.0).min_vorticity == -3.0
 
+    @pytest.mark.parametrize("n", [2, 30, 50, 80])
+    def test_elimination_threshold_defaults_to_population_size(self, n):
+        assert VoaConfig(n_particles=n).elimination_threshold == n
+        assert VoaConfig(n_particles=n, elimination_threshold=1).elimination_threshold == 1
+
     def test_min_vorticity_overridable(self):
         assert VoaConfig(max_vorticity=3.0, min_vorticity=-1.0).min_vorticity == -1.0
 
@@ -206,7 +222,7 @@ class TestVoaConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("seed", 1.5), ("seed", "3"), ("seed", True), ("n_particles", 50.0),
-        ("max_iterations", 2.5), ("elimination_threshold", None),
+        ("max_iterations", 2.5), ("elimination_threshold", 2.5),
     ])
     def test_non_integer_field_named_in_error(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
@@ -257,48 +273,46 @@ class TestObjective:
     def _quadratic(self):
         return Objective(
             name="quadratic",
-            dimension=2,
             bounds=((-1.0, 1.0), (-2.0, 2.0)),
             evaluate=lambda p: float(p[0] ** 2 + p[1] ** 2),
         )
 
     def test_bounds_must_be_ordered(self):
         with pytest.raises(ValueError):
-            Objective(name="bad", dimension=1, bounds=((2.0, 1.0),), evaluate=lambda p: 0.0)
+            Objective(name="bad", bounds=((2.0, 1.0),), evaluate=lambda p: 0.0)
 
     @pytest.mark.parametrize("pair", [
         (-np.inf, np.inf), (0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan),
     ])
     def test_non_finite_bounds_rejected_by_index(self, pair):
         with pytest.raises(ValueError, match=r"^bounds\[1\] must be finite"):
-            Objective(name="q", dimension=2, bounds=((-1.0, 1.0), pair),
+            Objective(name="q", bounds=((-1.0, 1.0), pair),
                       evaluate=lambda p: float(p @ p))
 
     @pytest.mark.parametrize("pair", [(False, True), ("a", 1.0), (0.0, None)])
     def test_non_real_bounds_rejected_by_index(self, pair):
         with pytest.raises(ValueError, match=r"^bounds\[0\] must be a real number"):
-            Objective(name="q", dimension=1, bounds=(pair,), evaluate=lambda p: 0.0)
+            Objective(name="q", bounds=(pair,), evaluate=lambda p: 0.0)
 
     def test_integer_bounds_stored_as_float(self):
-        obj = Objective(name="q", dimension=1, bounds=((np.int64(-1), 2),),
-                        evaluate=lambda p: 0.0)
+        obj = Objective(name="q", bounds=((np.int64(-1), 2),), evaluate=lambda p: 0.0)
         assert obj.bounds == ((-1.0, 2.0),)
         assert all(type(b) is float for b in obj.bounds[0])
 
-    def test_bounds_length_must_match_dimension(self):
-        with pytest.raises(ValueError):
-            Objective(name="bad", dimension=3, bounds=((0.0, 1.0),) * 2, evaluate=lambda p: 0.0)
+    def test_dimension_is_the_number_of_bound_pairs(self):
+        obj = Objective(name="q", bounds=((-1.0, 1.0),) * 3, evaluate=lambda p: 0.0)
+        assert type(obj.dimension) is int and obj.dimension == 3 == len(obj.bounds)
+        with pytest.raises(TypeError):
+            Objective(name="q", dimension=2, bounds=((-1.0, 1.0),) * 2, evaluate=lambda p: 0.0)
+        with pytest.raises(ValueError, match="^bounds must hold"):
+            Objective(name="q", bounds=(), evaluate=lambda p: 0.0)
 
     @pytest.mark.parametrize("dimension", [2.0, True, "2"])
     def test_non_integer_dimension_rejected(self, dimension):
-        with pytest.raises(ValueError, match="^dimension must be an integer"):
+        # dimension is not a constructor argument: it is the number of bound pairs.
+        with pytest.raises(TypeError, match="dimension"):
             Objective(name="bad", dimension=dimension, bounds=((-1.0, 1.0),) * 2,
                       evaluate=lambda p: 0.0)
-
-    def test_numpy_integer_dimension_stored_as_int(self):
-        obj = Objective(name="q", dimension=np.int64(2), bounds=((-1.0, 1.0),) * 2,
-                        evaluate=lambda p: 0.0)
-        assert type(obj.dimension) is int and obj.dimension == 2
 
     def test_evaluation_is_bit_stable(self):
         obj = self._quadratic()
@@ -330,7 +344,7 @@ class TestObjective:
     ], ids=["scalar", "column", "extra_row", "matrix"])
     def test_evaluate_batch_shape_checked(self, batch):
         obj = Objective(
-            name="misshapen", dimension=2, bounds=((-1.0, 1.0),) * 2,
+            name="misshapen", bounds=((-1.0, 1.0),) * 2,
             evaluate=lambda p: float(p.sum()), evaluate_batch=batch,
         )
         with pytest.raises(ValueError, match=r"'misshapen'.*\(3,\)"):

@@ -121,7 +121,7 @@ class TestMarkVortices:
 
 def quadratic_objective():
     return Objective(
-        name="quadratic", dimension=2,
+        name="quadratic",
         bounds=((-10.0, 10.0), (-10.0, 10.0)),
         evaluate=lambda p: float(p[0] ** 2 + p[1] ** 2),
     )
@@ -154,7 +154,7 @@ class TestRefreshFitnessAndBest:
 
     def test_non_finite_fitness_flagged_and_never_wins(self):
         objective = Objective(
-            name="partial", dimension=1, bounds=((-1.0, 1.0),),
+            name="partial", bounds=((-1.0, 1.0),),
             evaluate=lambda p: float("nan") if p[0] > 0 else float(p[0] ** 2),
         )
         positions = np.array([[0.5], [-0.5]])

@@ -28,7 +28,7 @@ def _patchy(x):
 
 def _objective(name, dimension):
     if name == "patchy":
-        return Objective(name="patchy", dimension=2, bounds=((-5.0, 5.0), (-5.0, 5.0)),
+        return Objective(name="patchy", bounds=((-5.0, 5.0), (-5.0, 5.0)),
                          evaluate=_patchy)
     return get_objective(name, dimension)
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import io
 import pickle
 import re
@@ -24,6 +25,7 @@ from vortexopt import (
     write_reports,
 )
 from vortexopt.benchmarks import benchmark_names
+from vortexopt.core import RandomSource
 from vortexopt.engine import RunReport, RunTrace
 from vortexopt.harness import (
     REFERENCE_RESULTS,
@@ -173,6 +175,10 @@ class TestMakePlan:
                                    dimensions={"sphere": (5, 2), "booth": (2,)}, seeds=(3,))
         assert plan.cells() == [("sphere", 5), ("sphere", 2), ("booth", 2)]
         assert plan.n_runs == 3
+
+    def test_empty_dims_rejected_rather_than_read_as_the_grid(self, tmp_path):
+        with pytest.raises(ValueError, match="^dims must list at least one dimension"):
+            make_plan(functions=["sphere"], dims=[], out_dir=tmp_path)
 
     def test_plan_without_functions_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="plan selects no benchmark functions"):
@@ -409,7 +415,7 @@ class TestWriteReports:
         # Non-finite on part of the box, and a low elimination threshold, so
         # that every column varies.
         objective = Objective(
-            name="patchy", dimension=2, bounds=((-1.0, 1.0), (-1.0, 1.0)),
+            name="patchy", bounds=((-1.0, 1.0), (-1.0, 1.0)),
             evaluate=lambda x: float(x @ x) if x[0] < 0.5 else float("nan"))
         config = VoaConfig(n_particles=12, max_iterations=30, elimination_threshold=3, seed=4)
         report = run(config, objective)
@@ -465,6 +471,23 @@ class TestWriteReports:
             assert parsed.best_fitness == pytest.approx(original.best_fitness, rel=1e-5)
             assert parsed.best_position == pytest.approx(original.best_position)
             assert (parsed.config, parsed.trace, parsed.error) == (None, None, None)
+
+    def test_runs_csv_round_trip_past_the_csv_field_limit(self, tmp_path):
+        position = RandomSource(7).uniform_unit_batch(7000)
+        report = dataclasses.replace(fake_report("sphere", 7000, 1, 0.5), best_position=position)
+        limit = csv.field_size_limit()
+        paths = write_reports([report], summarize([report]), small_plan(tmp_path))
+        assert max(map(len, paths["runs"].read_text().split(","))) > limit
+        (loaded,) = read_runs_csv(paths["runs"])
+        np.testing.assert_array_equal(loaded.best_position, position)
+        assert csv.field_size_limit() == limit
+
+    def test_runs_csv_error_named_by_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(csv, "reader", functools.partial(csv.reader, strict=True))
+        path = tmp_path / "runs.csv"
+        path.write_text(f'{RUNS_HEADER}\nsphere,2,1,"1.0"x,100,10,1.000,0.0;0.5\n')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: ',' expected"):
+            read_runs_csv(path)
 
     def test_runs_csv_missing_columns_named(self, tmp_path):
         path = tmp_path / "runs.csv"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import run_with_invariant_checks
 from vortexopt import (
+    Objective,
     SwarmState,
     VoaConfig,
     get_objective,
@@ -70,7 +71,8 @@ class TestRuleProperties:
     )
     def test_uniform_box_stays_in_interval(self, lower, width, seed):
         upper = lower + width
-        got = RandomSource(seed).uniform_box(np.array([lower]), np.array([upper]), 1)
+        box = Objective(name="interval", bounds=((lower, upper),), evaluate=lambda p: 0.0)
+        got = box.sample(RandomSource(seed), 1)
         assert got.shape == (1, 1)
         assert lower <= got[0, 0] <= upper
 

@@ -33,8 +33,7 @@ def _stepped(x):
 
 def _objective(name, dimension):
     if name == "stepped":
-        return Objective(name="stepped", dimension=dimension,
-                         bounds=((-5.0, 5.0),) * dimension, evaluate=_stepped)
+        return Objective(name="stepped", bounds=((-5.0, 5.0),) * dimension, evaluate=_stepped)
     return get_objective(name, dimension)
 
 
