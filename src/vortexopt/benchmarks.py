@@ -155,11 +155,6 @@ def _pair_batch(fn):
     return lambda X: fn(X[..., 0], X[..., 1])
 
 
-def _scalar(batch):
-    # A registry entry's scalar evaluate is its batch function on one row.
-    return lambda p: float(batch(np.asarray(p, dtype=np.float64)))
-
-
 _SPECS = (
     BenchmarkSpec(
         name="booth",
@@ -245,6 +240,5 @@ def get_objective(name: str, dimension: int) -> Objective:
     return Objective(
         name=name,
         bounds=spec.bounds(dimension),
-        evaluate=_scalar(spec.batch),
-        evaluate_batch=spec.batch,
+        evaluate=spec.batch,
     )

@@ -114,10 +114,6 @@ class RandomSource:
         self._count += n
         return block[start:start + n]
 
-    def uniform_unit(self) -> float:
-        """Return the next uniform draw in [0, 1)."""
-        return float(self.uniform_unit_batch(1)[0])
-
 
 @dataclass(frozen=True)
 class VoaConfig:
@@ -192,19 +188,18 @@ class Objective:
     """A box-constrained minimization target.
 
     ``bounds`` gives one ``(lower, upper)`` pair per coordinate, and
-    ``dimension`` is their number. ``evaluate`` maps a position vector to a
-    scalar fitness and must be pure: deterministic, side-effect free, and
-    safe to call from concurrent runs. ``evaluate_batch``, when given, must
-    agree with ``evaluate`` row by row and exists only as a vectorization
-    shortcut for the engine. A registry function's known optimum is kept in
-    its ``benchmarks.BenchmarkSpec``.
+    ``dimension`` is their number. ``evaluate`` maps an ``(..., dimension)``
+    array of positions to the ``(...)`` array of their fitness values, one per
+    row, and must be pure: deterministic, side-effect free, and safe to call
+    from concurrent runs. A function of one position vector is lifted by a
+    loop over ``X.reshape(-1, dimension)``. A registry function's known
+    optimum is kept in its ``benchmarks.BenchmarkSpec``.
     """
 
     name: str
     dimension: int = field(init=False)
     bounds: tuple
     evaluate: Callable
-    evaluate_batch: Optional[Callable] = None
 
     def __post_init__(self):
         bounds = tuple((as_real(f"bounds[{i}]", lo), as_real(f"bounds[{i}]", hi))
@@ -238,18 +233,16 @@ class Objective:
         return self._lower + u * (self._upper - self._lower)
 
     def evaluate_rows(self, positions: np.ndarray) -> np.ndarray:
-        """Evaluate a (k, dimension) stack of positions, one fitness per row."""
+        """Evaluate an (..., dimension) stack of positions, one fitness per row;
+        a result of any other shape than ``positions.shape[:-1]`` raises."""
         positions = np.asarray(positions, dtype=np.float64)
-        if self.evaluate_batch is not None:
-            values = np.asarray(self.evaluate_batch(positions), dtype=np.float64)
-            if values.shape != positions.shape[:1]:
-                raise ValueError(
-                    f"objective {self.name!r}: evaluate_batch returned shape "
-                    f"{values.shape} for positions of shape {positions.shape}, "
-                    f"expected {positions.shape[:1]}"
-                )
-            return values
-        return np.array([self.evaluate(row) for row in positions], dtype=np.float64)
+        values = np.asarray(self.evaluate(positions), dtype=np.float64)
+        if values.shape != positions.shape[:-1]:
+            raise ValueError(
+                f"objective {self.name!r}: evaluate returned shape {values.shape} "
+                f"for positions of shape {positions.shape}, expected {positions.shape[:-1]}"
+            )
+        return values
 
 
 @dataclass(eq=False)

@@ -150,7 +150,7 @@ def initialize_swarm(config: VoaConfig, objective: Objective, rng: RandomSource)
     fitness = _sanitize(objective.evaluate_rows(positions))
     vorticity = np.full(n, config.initial_vorticity, dtype=np.float64)
     best_index = int(fitness.argmin())
-    r = rng.uniform_unit()
+    r = float(rng.uniform_unit_batch(1)[0])
     vorticity[best_index] = float(
         vorticity_kick(vorticity[best_index], r, config.min_vorticity, config.max_vorticity)
     )

@@ -1,5 +1,5 @@
-"""Shared test utilities: CSV munging, and the invariant driver used by the
-property and acceptance suites.
+"""Shared test utilities: the row-loop lift of a scalar objective, CSV
+munging, and the invariant driver used by the property and acceptance suites.
 """
 
 from types import SimpleNamespace
@@ -11,6 +11,17 @@ from vortexopt.harness import RUNS_HEADER
 
 STAGES = ("initialize_swarm", "mark_vortices", "vorticity_pull", "vorticity_decay",
           "move_toward_best", "refresh_fitness_and_best", "eliminate_and_respawn")
+
+
+def rowwise(f):
+    """Lift ``f``, a function of one position vector, to the objective
+    contract: an (..., d) array maps to the (...) array of f's values, one
+    per row, by a loop over the rows."""
+    def evaluate(X):
+        X = np.asarray(X, dtype=np.float64)
+        values = [f(row) for row in X.reshape(-1, X.shape[-1])]
+        return np.array(values, dtype=np.float64).reshape(X.shape[:-1])
+    return evaluate
 
 
 def strip_wall_column(csv_text):

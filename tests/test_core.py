@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import rowwise
 from oracles import splitmix64_units
 from vortexopt import Objective, VoaConfig
 from vortexopt.core import _BLOCK_DRAWS, RandomSource, as_real, as_seed
@@ -30,7 +31,8 @@ class TestRandomSource:
     def test_batching_matches_single_draws(self):
         batched = RandomSource(7).uniform_unit_batch(32)
         single = RandomSource(7)
-        np.testing.assert_array_equal(batched, [single.uniform_unit() for _ in range(32)])
+        np.testing.assert_array_equal(
+            batched, np.concatenate([single.uniform_unit_batch(1) for _ in range(32)]))
 
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5])
     def test_matches_pure_python_reference(self, seed):
@@ -274,7 +276,7 @@ class TestObjective:
         return Objective(
             name="quadratic",
             bounds=((-1.0, 1.0), (-2.0, 2.0)),
-            evaluate=lambda p: float(p[0] ** 2 + p[1] ** 2),
+            evaluate=lambda X: X[..., 0] ** 2 + X[..., 1] ** 2,
         )
 
     def test_bounds_must_be_ordered(self):
@@ -320,7 +322,9 @@ class TestObjective:
         assert obj.evaluate(point) == obj.evaluate(point)
 
     def test_evaluate_rows_falls_back_to_row_loop(self):
-        obj = self._quadratic()
+        # A function of one vector runs through the test-side row-loop lift.
+        obj = Objective(name="quadratic", bounds=((-1.0, 1.0), (-2.0, 2.0)),
+                        evaluate=rowwise(lambda p: float(p[0] ** 2 + p[1] ** 2)))
         rows = np.array([[0.5, 0.5], [1.0, -2.0]])
         np.testing.assert_array_equal(obj.evaluate_rows(rows), [0.5, 5.0])
 
@@ -336,16 +340,13 @@ class TestObjective:
         with pytest.raises(ValueError):
             obj.upper[1] = 0.0
 
-    @pytest.mark.parametrize("batch", [
+    @pytest.mark.parametrize("evaluate", [
         lambda X: float(X.sum()),
         lambda X: X.sum(axis=1, keepdims=True),
         lambda X: np.zeros(X.shape[0] + 1),
         lambda X: X,
     ], ids=["scalar", "column", "extra_row", "matrix"])
-    def test_evaluate_batch_shape_checked(self, batch):
-        obj = Objective(
-            name="misshapen", bounds=((-1.0, 1.0),) * 2,
-            evaluate=lambda p: float(p.sum()), evaluate_batch=batch,
-        )
+    def test_evaluate_shape_checked(self, evaluate):
+        obj = Objective(name="misshapen", bounds=((-1.0, 1.0),) * 2, evaluate=evaluate)
         with pytest.raises(ValueError, match=r"'misshapen'.*\(3,\)"):
             obj.evaluate_rows(np.zeros((3, 2)))

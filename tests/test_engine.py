@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import vortexopt.engine as engine
+from helpers import rowwise
 from oracles import splitmix64_units
 from vortexopt import (
     Objective,
@@ -123,7 +124,7 @@ def quadratic_objective():
     return Objective(
         name="quadratic",
         bounds=((-10.0, 10.0), (-10.0, 10.0)),
-        evaluate=lambda p: float(p[0] ** 2 + p[1] ** 2),
+        evaluate=lambda X: X[..., 0] ** 2 + X[..., 1] ** 2,
     )
 
 
@@ -155,7 +156,7 @@ class TestRefreshFitnessAndBest:
     def test_non_finite_fitness_flagged_and_never_wins(self):
         objective = Objective(
             name="partial", bounds=((-1.0, 1.0),),
-            evaluate=lambda p: float("nan") if p[0] > 0 else float(p[0] ** 2),
+            evaluate=rowwise(lambda p: float("nan") if p[0] > 0 else float(p[0] ** 2)),
         )
         positions = np.array([[0.5], [-0.5]])
         state = make_state(positions, [99.0, 99.0], best_index=1)
@@ -352,7 +353,7 @@ class TestIterationContract:
             advance_iteration(state, config, objective, rng)
             used += n + (vortices[it] - 1) + (n - 1) * dimension + respawned[it] * dimension
             # The next draw is the one right after the counted ones.
-            assert rng.uniform_unit() == splitmix64_units(config.seed, used + 1)[-1]
+            assert rng.uniform_unit_batch(1)[0] == splitmix64_units(config.seed, used + 1)[-1]
             used += 1
 
     def test_stages_called_through_module_globals(self, monkeypatch):

@@ -14,6 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from helpers import rowwise
 from vortexopt import Objective, VoaConfig, get_objective, run
 
 
@@ -29,7 +30,7 @@ def _patchy(x):
 def _objective(name, dimension):
     if name == "patchy":
         return Objective(name="patchy", bounds=((-5.0, 5.0), (-5.0, 5.0)),
-                         evaluate=_patchy)
+                         evaluate=rowwise(_patchy))
     return get_objective(name, dimension)
 
 

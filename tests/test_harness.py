@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vortexopt.harness as harness
-from helpers import strip_wall_column
+from helpers import rowwise, strip_wall_column
 from vortexopt import (
     ExperimentPlan,
     Objective,
@@ -416,7 +416,7 @@ class TestWriteReports:
         # that every column varies.
         objective = Objective(
             name="patchy", bounds=((-1.0, 1.0), (-1.0, 1.0)),
-            evaluate=lambda x: float(x @ x) if x[0] < 0.5 else float("nan"))
+            evaluate=rowwise(lambda x: float(x @ x) if x[0] < 0.5 else float("nan")))
         config = VoaConfig(n_particles=12, max_iterations=30, elimination_threshold=3, seed=4)
         report = run(config, objective)
         path = write_trace(report, tmp_path)

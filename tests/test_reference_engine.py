@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import rowwise
 from oracles import reference_run
 from vortexopt import Objective, VoaConfig, get_objective, run
 
@@ -33,7 +34,8 @@ def _stepped(x):
 
 def _objective(name, dimension):
     if name == "stepped":
-        return Objective(name="stepped", bounds=((-5.0, 5.0),) * dimension, evaluate=_stepped)
+        return Objective(name="stepped", bounds=((-5.0, 5.0),) * dimension,
+                         evaluate=rowwise(_stepped))
     return get_objective(name, dimension)
 
 
