@@ -31,9 +31,6 @@ __all__ = [
     "get_objective",
 ]
 
-GRID_DIMENSIONS = (2, 5, 10, 20, 30)
-
-
 # Powers are spelled as explicit products so scalar and array evaluation are
 # bit-identical (numpy's array `**` and scalar `pow` round differently).
 
@@ -105,8 +102,7 @@ class BenchmarkSpec:
 
     ``batch`` maps a stack of rows (any leading axes) to one value per row.
     ``fixed_dimension`` pins the problem size; scalable entries leave it None
-    and accept any dimension >= ``min_dimension``. ``grid_dimensions`` lists
-    the dimensions reported in the harness summary grid.
+    and accept any dimension >= ``min_dimension``.
     """
 
     name: str
@@ -116,12 +112,6 @@ class BenchmarkSpec:
     minimizer_fill: object
     fixed_dimension: Optional[int] = 2
     min_dimension: int = 2
-
-    @property
-    def grid_dimensions(self) -> tuple:
-        if self.fixed_dimension is not None:
-            return (self.fixed_dimension,)
-        return GRID_DIMENSIONS
 
     def supports(self, dimension: int) -> bool:
         if self.fixed_dimension is not None:

@@ -212,12 +212,13 @@ def _cmd_check(ns) -> int:
 
 
 def _cmd_list(_ns) -> int:
+    grid = make_plan().dimensions
     for name in benchmark_names():
         spec = REGISTRY[name]
         if spec.fixed_dimension is not None:
             dims = f"d={spec.fixed_dimension}"
         else:
-            dims = f"d>={spec.min_dimension} (grid: {', '.join(map(str, spec.grid_dimensions))})"
+            dims = f"d>={spec.min_dimension} (grid: {', '.join(map(str, grid[name]))})"
         bounds = spec.bounds_per_dim
         if len(bounds) == 1:
             domain = f"[{bounds[0][0]:g}, {bounds[0][1]:g}] per coordinate"

@@ -202,6 +202,9 @@ class Objective:
     evaluate: Callable
 
     def __post_init__(self):
+        if not callable(self.evaluate):
+            raise ValueError(f"objective {self.name!r}: evaluate must be callable, "
+                             f"got {self.evaluate!r}")
         bounds = tuple((as_real(f"bounds[{i}]", lo), as_real(f"bounds[{i}]", hi))
                        for i, (lo, hi) in enumerate(self.bounds))
         if not bounds:

@@ -120,9 +120,7 @@ def move_toward_best(positions, vorticity, best_position, r, lower, upper):
     """Move particles along ``r * v * (best - position)``, clamped to the box.
 
     ``positions`` is a (k, d) stack, ``vorticity`` (k,) and ``best_position``
-    (d,). ``r`` holds one draw per coordinate, (k, d), or one per particle,
-    (k, 1); a draw shared by a particle's coordinates confines its move to the
-    line through the best position.
+    (d,). ``r`` holds one draw per coordinate, (k, d).
     """
     # positions + r * v * (best - positions), computed and clamped in place on one new array.
     moved = best_position - positions

@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .benchmarks import GRID_DIMENSIONS, benchmark_names, get_objective, get_spec
+from .benchmarks import benchmark_names, get_objective, get_spec
 from .core import VoaConfig, as_integer, as_seed
 from .engine import RunReport, RunTrace, run
 
@@ -62,7 +62,6 @@ _RUNS_COLUMNS = {
                       lambda text: np.array([float(x) for x in text.split(";")] if text else [])),
 }
 RUNS_HEADER = ",".join(_RUNS_COLUMNS)
-SUMMARY_HEADER = "function," + ",".join(f"d{d}" for d in GRID_DIMENSIONS)
 TRACE_HEADER = ",".join(["iteration", *(f.name for f in fields(RunTrace))])
 
 DEFAULT_SEED_COUNT = 20
@@ -72,7 +71,9 @@ DEFAULT_OUT_DIR = "results"
 # Published single-number results, keyed by (function, dimension), with the
 # tolerance rule `check` applies to each: (reference value, rule, tolerance).
 # "max" passes when the median best is at or below the tolerance; "near"
-# passes when it lies within the tolerance of the reference value.
+# passes when it lies within the tolerance of the reference value. The keys
+# are the reported grid: the default plan's cells, in order; their dimensions,
+# in table order, are the summary's columns.
 REFERENCE_RESULTS = {
     ("booth", 2): (0.0, "max", 1e-4),
     ("beale", 2): (0.0, "max", 1e-4),
@@ -90,6 +91,8 @@ REFERENCE_RESULTS = {
     ("rosenbrock", 20): (0.0027, "max", 5e-2),
     ("rosenbrock", 30): (0.0023, "max", 5e-2),
 }
+GRID_DIMENSIONS = tuple(dict.fromkeys(d for _, d in REFERENCE_RESULTS))
+SUMMARY_HEADER = "function," + ",".join(f"d{d}" for d in GRID_DIMENSIONS)
 
 
 @dataclass(frozen=True)
@@ -137,11 +140,12 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
     """Assemble a plan, filling anything unspecified with the defaults.
 
     With no arguments this is the full reporting grid: every registry function
-    at its grid dimensions, 20 consecutive seeds starting at 1, standard
-    configuration, reports in ``DEFAULT_OUT_DIR``. ``dims``, when given, must
-    not be empty and is shared out: each function runs the listed dimensions
-    it supports. A function that supports none of them, or a listed dimension
-    that no function supports, raises the registry's ``check_dimension`` error.
+    at its ``REFERENCE_RESULTS`` cells in table order, 20 consecutive seeds
+    starting at 1, standard configuration, reports in ``DEFAULT_OUT_DIR``.
+    ``dims``, when given, must not be empty and is shared out: each function
+    runs the listed dimensions it supports. A function that supports none of
+    them, or a listed dimension that no function supports, raises the
+    registry's ``check_dimension`` error.
     """
     specs = [get_spec(name) for name in (benchmark_names() if functions is None else functions)]
     if len({spec.name for spec in specs}) != len(specs):
@@ -158,7 +162,7 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
             if specs and not any(spec.supports(d) for spec in specs):
                 specs[0].check_dimension(d)
     else:
-        dimensions = {s.name: s.grid_dimensions for s in specs}
+        dimensions = {s.name: tuple(d for f, d in REFERENCE_RESULTS if f == s.name) for s in specs}
     base = as_seed("base_seed", DEFAULT_BASE_SEED if base_seed is None else base_seed)
     count = as_integer("seed_count", DEFAULT_SEED_COUNT if seed_count is None else seed_count)
     if count < 1:

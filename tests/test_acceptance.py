@@ -119,9 +119,8 @@ class TestCriterion05Rosenbrock:
 
 class TestCriterion06BenchmarkOracles:
     def test_implementations_match_straight_line_oracles(self):
-        cells = [(n, d) for n in benchmark_names() for d in get_spec(n).grid_dimensions]
         worst = 0.0
-        for name, dim in cells:
+        for name, dim in make_plan().cells():
             obj = get_objective(name, dim)
             points = np.random.default_rng(99).uniform(
                 obj.lower, obj.upper, size=(1000, dim))
@@ -139,7 +138,7 @@ class TestCriterion06BenchmarkOracles:
     def test_known_minima_reproduce(self):
         for name in benchmark_names():
             spec = get_spec(name)
-            for d in spec.grid_dimensions:
+            for _, d in make_plan(functions=[name]).cells():
                 minimizer = spec.minimizer(d)
                 assert minimizer.shape == (d,)
                 got = get_objective(name, d).evaluate(minimizer)

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from helpers import rowwise
-from vortexopt import benchmark_names, get_objective, get_spec
+from vortexopt import benchmark_names, get_objective, get_spec, make_plan
 from vortexopt.benchmarks import (
     beale,
     booth,
@@ -16,8 +16,7 @@ from vortexopt.benchmarks import (
     three_hump_camel,
 )
 
-ALL_CELLS = [(name, d) for name in benchmark_names()
-             for d in get_spec(name).grid_dimensions]
+ALL_CELLS = make_plan().cells()
 
 
 class TestHandValues:
@@ -117,7 +116,7 @@ class TestKnownMinima:
     @pytest.mark.parametrize("name", benchmark_names())
     def test_minimizer_reproduces_minimum(self, name):
         spec = get_spec(name)
-        for d in spec.grid_dimensions:
+        for _, d in make_plan(functions=[name]).cells():
             minimizer = spec.minimizer(d)
             assert minimizer.shape == (d,)
             value = get_objective(name, d).evaluate(minimizer)
@@ -126,7 +125,7 @@ class TestKnownMinima:
     @pytest.mark.parametrize("name", benchmark_names())
     def test_minimizer_lies_inside_bounds(self, name):
         spec = get_spec(name)
-        for d in spec.grid_dimensions:
+        for _, d in make_plan(functions=[name]).cells():
             obj = get_objective(name, d)
             minimizer = spec.minimizer(d)
             assert np.all(minimizer >= obj.lower)

@@ -21,6 +21,18 @@ from vortexopt.harness import (
     write_reports,
 )
 
+# `vortexopt list`'s stdout, byte for byte; the "(grid: ...)" text is derived
+# from the reference table's cells.
+LIST_GOLDEN = (
+    "booth              d=2                          domain [-10, 10] x [-10, 10]              minimum 0\n"
+    "beale              d=2                          domain [-4.5, 4.5] x [-4.5, 4.5]          minimum 0\n"
+    "goldstein_price    d=2                          domain [-2, 2] x [-2, 2]                  minimum 3\n"
+    "mccormick          d=2                          domain [-1.5, 4] x [-3, 4]                minimum -1.9133\n"
+    "three_hump_camel   d=2                          domain [-5, 5] x [-5, 5]                  minimum 0\n"
+    "sphere             d>=1 (grid: 2, 5, 10, 20, 30) domain [-100, 100] per coordinate         minimum 0\n"
+    "rosenbrock         d>=2 (grid: 2, 5, 10, 20, 30) domain [-80, 80] per coordinate           minimum 0\n"
+)
+
 # One or more text values per run setting; repeatable settings take two.
 SAMPLES = {
     "function": ["sphere", "booth"],
@@ -225,6 +237,10 @@ class TestMain:
         for name in ("booth", "beale", "goldstein_price", "mccormick",
                      "three_hump_camel", "sphere", "rosenbrock"):
             assert name in out
+
+    def test_list_stdout_matches_golden(self, capsys):
+        assert main(["list"]) == 0
+        assert capsys.readouterr().out == LIST_GOLDEN
 
     def test_run_writes_reports(self, tmp_path, capsys):
         code = main([

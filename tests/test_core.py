@@ -316,6 +316,11 @@ class TestObjective:
             Objective(name="bad", dimension=dimension, bounds=((-1.0, 1.0),) * 2,
                       evaluate=lambda p: 0.0)
 
+    @pytest.mark.parametrize("evaluate", [None, 1.0, "sphere"])
+    def test_non_callable_evaluate_rejected_naming_the_objective(self, evaluate):
+        with pytest.raises(ValueError, match=r"^objective 'q': evaluate must be callable"):
+            Objective(name="q", bounds=((-1.0, 1.0),), evaluate=evaluate)
+
     def test_evaluation_is_bit_stable(self):
         obj = self._quadratic()
         point = np.array([0.3333333333333333, -1.7777777777777])

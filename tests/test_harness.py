@@ -597,6 +597,8 @@ class TestChecks:
     def test_every_grid_cell_has_a_rule_and_reference(self):
         assert set(REFERENCE_RESULTS) == set(make_plan().cells())
         assert len(REFERENCE_RESULTS) == 15
+        # The default plan runs each function at its cells in the table.
+        assert {name for name, _ in REFERENCE_RESULTS} == set(benchmark_names())
         for reference, rule, tolerance in REFERENCE_RESULTS.values():
             assert isinstance(reference, float)
             assert rule in ("max", "near")

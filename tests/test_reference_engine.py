@@ -2,8 +2,8 @@
 
 Hypothesis draws the whole configuration space the engine accepts, within
 small sizes: swarm size, dimension, elimination threshold, vorticity limits,
-an initial vorticity that may lie outside them, the pull guard, both draw
-modes, an early-stop target and short run lengths, on registry objectives
+an initial vorticity that may lie outside them, the pull guard, an
+early-stop target and short run lengths, on registry objectives
 and on a user objective with flat steps and non-finite regions. Every report
 field and trace column must match bit for bit.
 """
