@@ -21,6 +21,7 @@ from .harness import (
     DEFAULT_BASE_SEED,
     DEFAULT_OUT_DIR,
     DEFAULT_SEED_COUNT,
+    REFERENCE_RESULTS,
     evaluate_checks,
     execute_plan,
     make_plan,
@@ -190,8 +191,11 @@ def _cmd_check(ns) -> int:
     if not runs_path.exists():
         raise ValueError(f"{runs_path} not found; run `vortexopt run` first")
     reports = read_runs_csv(runs_path)
-    results = evaluate_checks(summarize(reports))
-    if not results:
+    results = {(res.function, res.dimension): res for res in evaluate_checks(summarize(reports))}
+    # A table cell whose every run failed has no summary, but is still judged.
+    cells = [c for c in dict.fromkeys((r.function, r.dimension) for r in reports)
+             if c in REFERENCE_RESULTS]
+    if not cells:
         raise ValueError("no checkable cells in the results")
     summary_path = Path(ns.out) / "summary.json"
     try:
@@ -205,10 +209,14 @@ def _cmd_check(ns) -> int:
         if differing:
             print(f"warning: the results were run with {', '.join(differing)}; the reference "
                   "table is for the default configuration", file=sys.stderr)
-    for res in results:
-        print(f"{'PASS' if res.passed else 'FAIL'} {res.function} d={res.dimension} "
+    for function, dimension in cells:
+        res = results.get((function, dimension))
+        if res is None:
+            print(f"FAIL {function} d={dimension} has no successful run")
+            continue
+        print(f"{'PASS' if res.passed else 'FAIL'} {function} d={dimension} "
               f"median={res.median:.6e} reference={res.reference_value:.4f} rule: {res.rule}")
-    return 0 if all(res.passed for res in results) else 1
+    return 0 if all(c in results and results[c].passed for c in cells) else 1
 
 
 def _cmd_list(_ns) -> int:

@@ -253,8 +253,10 @@ class SwarmState:
     """Mutable population state owned by a single optimizer run.
 
     Columnar layout: row i of ``positions`` plus element i of ``vorticity``,
-    ``fitness`` and ``is_vortex`` describe particle i. ``best_*`` is the
-    best-so-far record; ``best_index`` is the particle that holds it.
+    ``fitness`` and ``is_vortex`` describe particle i. The best-so-far record
+    is particle ``best_index``'s row: the move restores it and the cull never
+    touches a vortex. ``best_vorticity`` is kept apart because the pull
+    changes the holder's own vorticity every iteration.
     Fitness values are stored with non-finite evaluations replaced by ``+inf``
     so every comparison (marking, record updates) is well defined.
     ``mean_fitness`` is the population mean that the latest marking pass
@@ -265,8 +267,6 @@ class SwarmState:
     vorticity: np.ndarray
     fitness: np.ndarray
     is_vortex: np.ndarray
-    best_position: np.ndarray
-    best_fitness: float
     best_vorticity: float
     best_index: int
     evaluations: int = 0

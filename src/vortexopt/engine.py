@@ -7,8 +7,7 @@ ordered stages:
 1. mark every particle at or below the population mean fitness as a vortex,
 2. pull every particle's vorticity toward the recorded best vorticity,
 3. decay the vorticity of every vortex particle except the record holder,
-4. move every particle except the record holder toward the recorded best
-   position,
+4. move every particle except the record holder toward the holder's row,
 5. re-evaluate all fitnesses and update the best-so-far record on strict
    improvement,
 6. when few enough normal particles remain, respawn all of them uniformly.
@@ -141,7 +140,7 @@ def initialize_swarm(config: VoaConfig, objective: Objective, rng: RandomSource)
 
     All particles start at the configured initial vorticity with normal
     status; the fittest one receives the one-time vorticity kick, becomes a
-    vortex, and its values become the best-so-far record.
+    vortex, and holds the best-so-far record.
     """
     n = config.n_particles
     positions = objective.sample(rng, n)
@@ -159,8 +158,6 @@ def initialize_swarm(config: VoaConfig, objective: Objective, rng: RandomSource)
         vorticity=vorticity,
         fitness=fitness,
         is_vortex=is_vortex,
-        best_position=positions[best_index].copy(),
-        best_fitness=float(fitness[best_index]),
         best_vorticity=float(vorticity[best_index]),
         best_index=best_index,
         evaluations=n,
@@ -184,9 +181,10 @@ def mark_vortices(state: SwarmState) -> SwarmState:
 def refresh_fitness_and_best(state: SwarmState, objective: Objective) -> int:
     """Re-evaluate every particle and update the best-so-far record.
 
-    The iteration's best particle is marked vortex. The record is replaced
-    only on strict improvement; ties keep the incumbent holder. Non-finite
-    fitness values are stored as +inf; their count is returned for the trace.
+    The record is the holder's row, which did not move, so a pure objective
+    re-evaluates it to the value it held. The iteration's best particle is
+    marked vortex and takes the record only on strict improvement; ties keep
+    the holder. Non-finite values are stored as +inf; their count is returned.
     """
     raw = objective.evaluate_rows(state.positions)
     n = state.n_particles
@@ -195,9 +193,7 @@ def refresh_fitness_and_best(state: SwarmState, objective: Objective) -> int:
     state.fitness = np.where(finite, raw, np.inf)
     it_best = int(state.fitness.argmin())
     state.is_vortex[it_best] = True
-    if state.fitness[it_best] < state.best_fitness:
-        state.best_fitness = float(state.fitness[it_best])
-        state.best_position = state.positions[it_best].copy()
+    if state.fitness[it_best] < state.fitness[state.best_index]:
         state.best_vorticity = float(state.vorticity[it_best])
         state.best_index = it_best
     return n - int(np.count_nonzero(finite))
@@ -252,14 +248,13 @@ def advance_iteration(state: SwarmState, config: VoaConfig, objective: Objective
         state.vorticity[decaying] = vorticity_decay(state.vorticity[decaying],
                                                     draws[n:n + k])
 
-    # Move the whole swarm toward the recorded best position, with a zero draw
-    # at the holder's row, then restore the holder's row: it does not move.
+    # Move the whole swarm toward the holder's row with a zero draw there, then restore that row.
     r = draws[n + k:]
     split = holder * d
     r = np.concatenate((r[:split], np.zeros(d), r[split:])).reshape(n, d)
     before = state.positions
-    state.positions = move_toward_best(before, state.vorticity, state.best_position,
-                                       r, objective.lower, objective.upper)
+    state.positions = move_toward_best(before, state.vorticity, before[holder], r,
+                                       objective.lower, objective.upper)
     state.positions[holder] = before[holder]
 
     non_finite = refresh_fitness_and_best(state, objective)
@@ -279,16 +274,16 @@ def run(config: VoaConfig, objective: Objective) -> RunReport:
     rng = RandomSource(config.seed)
     state = initialize_swarm(config, objective, rng)
 
-    rows = [(state.best_fitness, np.count_nonzero(state.is_vortex), False,
+    rows = [(state.fitness[state.best_index], np.count_nonzero(state.is_vortex), False,
              np.count_nonzero(np.isinf(state.fitness)))]
     # Marking averages the fitness the previous iteration left, so the mean lags a row.
     mean = []
     for _ in range(config.max_iterations):
         eliminated, non_finite = advance_iteration(state, config, objective, rng)
         mean.append(state.mean_fitness)
-        rows.append((state.best_fitness, np.count_nonzero(state.is_vortex), eliminated,
-                     non_finite))
-        if config.target_fitness is not None and state.best_fitness <= config.target_fitness:
+        best = state.fitness[state.best_index]
+        rows.append((best, np.count_nonzero(state.is_vortex), eliminated, non_finite))
+        if config.target_fitness is not None and best <= config.target_fitness:
             break
     mean.append(state.fitness.mean())
     best, vortex, eliminated, non_finite = zip(*rows)
@@ -300,8 +295,8 @@ def run(config: VoaConfig, objective: Objective) -> RunReport:
         function=objective.name,
         dimension=objective.dimension,
         seed=config.seed,
-        best_fitness=state.best_fitness,
-        best_position=state.best_position.copy(),
+        best_fitness=float(state.fitness[state.best_index]),
+        best_position=state.positions[state.best_index].copy(),
         evaluations=state.evaluations,
         iterations=len(trace) - 1,
         wall_time_ms=wall_ms,

@@ -39,7 +39,6 @@ __all__ = [
     "read_runs_csv",
     "evaluate_checks",
     "RUNS_HEADER",
-    "SUMMARY_HEADER",
     "TRACE_HEADER",
 ]
 
@@ -73,7 +72,7 @@ DEFAULT_OUT_DIR = "results"
 # "max" passes when the median best is at or below the tolerance; "near"
 # passes when it lies within the tolerance of the reference value. The keys
 # are the reported grid: the default plan's cells, in order; their dimensions,
-# in table order, are the summary's columns.
+# in table order, are the summary's first columns.
 REFERENCE_RESULTS = {
     ("booth", 2): (0.0, "max", 1e-4),
     ("beale", 2): (0.0, "max", 1e-4),
@@ -92,7 +91,6 @@ REFERENCE_RESULTS = {
     ("rosenbrock", 30): (0.0023, "max", 5e-2),
 }
 GRID_DIMENSIONS = tuple(dict.fromkeys(d for _, d in REFERENCE_RESULTS))
-SUMMARY_HEADER = "function," + ",".join(f"d{d}" for d in GRID_DIMENSIONS)
 
 
 @dataclass(frozen=True)
@@ -145,8 +143,12 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
     ``dims``, when given, must not be empty and is shared out: each function
     runs the listed dimensions it supports. A function that supports none of
     them, or a listed dimension that no function supports, raises the
-    registry's ``check_dimension`` error.
+    registry's ``check_dimension`` error. An empty ``out_dir`` or
+    ``trace_dir`` raises; None selects the default (no traces for the latter).
     """
+    for name, path in (("out_dir", out_dir), ("trace_dir", trace_dir)):
+        if path is not None and not str(path):
+            raise ValueError(f"{name} must not be an empty path")
     specs = [get_spec(name) for name in (benchmark_names() if functions is None else functions)]
     if len({spec.name for spec in specs}) != len(specs):
         raise ValueError("functions must be pairwise distinct")
@@ -179,7 +181,7 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
         seeds=tuple(range(base, base + count)),
         config=VoaConfig(**overrides),
         out_dir=Path(DEFAULT_OUT_DIR if out_dir is None else out_dir),
-        trace_dir=Path(trace_dir) if trace_dir else None,
+        trace_dir=None if trace_dir is None else Path(trace_dir),
     )
 
 
@@ -290,15 +292,16 @@ def summarize(reports: Iterable[RunReport]) -> list:
 def summary_grid(summaries) -> tuple:
     """The rows and columns of the summary grid, for every renderer of it.
 
-    Returns ``(dimensions, rows)``: the grid dimensions, one column each, and
-    one ``(function, medians)`` row per registry function in registry order,
-    where a median is None for a cell that is not applicable to the function
-    or was not part of the plan.
+    Returns ``(dimensions, rows)``: one column per dimension, the grid's
+    first, then every other dimension among the summaries in ascending order;
+    and one ``(function, medians)`` row per registry function in registry
+    order, where a median is None for a cell that is not applicable to the
+    function or was not part of the plan.
     """
     medians = {(s.function, s.dimension): s.median for s in summaries}
-    rows = [(name, [medians.get((name, d)) for d in GRID_DIMENSIONS])
-            for name in benchmark_names()]
-    return GRID_DIMENSIONS, rows
+    dims = GRID_DIMENSIONS + tuple(sorted({d for _, d in medians} - set(GRID_DIMENSIONS)))
+    rows = [(name, [medians.get((name, d)) for d in dims]) for name in benchmark_names()]
+    return dims, rows
 
 
 def _write_csv(path: Path, header: str, rows) -> Path:
@@ -327,8 +330,9 @@ def write_reports(reports, summaries, plan: ExperimentPlan) -> dict:
     runs_path = _write_csv(out_dir / "runs.csv", RUNS_HEADER, (
         [write(getattr(r, column)) for column, (write, _) in _RUNS_COLUMNS.items()]
         for r in reports))
-    _, grid = summary_grid(summaries)
-    summary_path = _write_csv(out_dir / "summary.csv", SUMMARY_HEADER, (
+    dims, grid = summary_grid(summaries)
+    header = "function," + ",".join(f"d{d}" for d in dims)
+    summary_path = _write_csv(out_dir / "summary.csv", header, (
         [name, *("NA" if m is None else _sci(m) for m in medians)] for name, medians in grid))
 
     payload = {
@@ -366,8 +370,8 @@ def write_trace(report: RunReport, trace_dir) -> Path:
 def read_runs_csv(path) -> list:
     """Load per-run reports back from runs.csv through ``_RUNS_COLUMNS`` (config and
     trace omitted); bad input (not UTF-8, a missing or repeated column, a row whose
-    cell count differs from the header's, a cell that does not parse, a csv error)
-    fails naming the file."""
+    cell count differs from the header's, a cell that does not parse, a csv error,
+    a repeated (function, dimension, seed) run) fails naming the file."""
     path = Path(path)
     try:  # not read_text: its newline translation would turn a quoted CR into LF
         text = path.read_bytes().decode("utf-8")
@@ -390,7 +394,7 @@ def read_runs_csv(path) -> list:
     repeated = [c for c in dict.fromkeys(header) if header.count(c) > 1]
     if repeated:
         raise ValueError(f"{path}: repeated column(s) {', '.join(repeated)}")
-    reports = []
+    reports, first = [], {}
     for line, cells in lines[1:]:
         if not cells:  # a blank line
             continue
@@ -405,6 +409,11 @@ def read_runs_csv(path) -> list:
             except ValueError:
                 raise ValueError(f"{path}:{line}: column {column}: cannot "
                                  f"read {row[column]!r}") from None
+        key = (values["function"], values["dimension"], values["seed"])
+        if key in first:
+            raise ValueError(f"{path}:{line}: repeated run {key[0]} d={key[1]} "
+                             f"seed={key[2]} (first on line {first[key]})")
+        first[key] = line
         reports.append(RunReport(**values))
     return reports
 

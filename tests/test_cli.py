@@ -298,6 +298,36 @@ class TestMain:
         assert not (tmp_path / "res" / "runs.csv").exists()
         assert blocker.read_text() == ""
 
+    @pytest.mark.parametrize("flag,field", [("--out", "out_dir"), ("--trace-dir", "trace_dir")])
+    def test_run_rejects_an_empty_path_before_running(self, tmp_path, monkeypatch, capsys,
+                                                      flag, field):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run was started")
+
+        monkeypatch.setattr(harness, "run", no_run)
+        monkeypatch.chdir(tmp_path)
+        paths = {"--out": str(tmp_path / "res"), "--trace-dir": str(tmp_path / "traces"),
+                 flag: ""}
+        code = main(["run", "--function", "sphere", "--dim", "2", "--seeds", "2",
+                     "--iterations", "5", "--jobs", "1", *(a for kv in paths.items() for a in kv)])
+        assert code == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == f"error: {field} must not be an empty path"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_gives_a_dimension_outside_the_grid_its_own_column(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        assert main(["run", "--function", "sphere", "--dim", "3", "--seeds", "2",
+                     "--iterations", "20", "--jobs", "1", "--out", str(out)]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert table[1].split() == ["function", "d=2", "d=5", "d=10", "d=20", "d=30", "d=3"]
+        sphere = next(line for line in table if line.startswith("sphere")).split()
+        assert sphere[1:6] == ["NA"] * 5 and sphere[6] != "NA"
+        header, *rows = (out / "summary.csv").read_text().splitlines()
+        assert header == "function,d2,d5,d10,d20,d30,d3"
+        sphere = next(row for row in rows if row.startswith("sphere,")).split(",")
+        assert sphere[1:6] == ["NA"] * 5 and sphere[6] != "NA"
+
     def test_check_requires_existing_results(self, tmp_path, capsys):
         code = main(["check", "--out", str(tmp_path / "missing")])
         assert code == 2
@@ -329,6 +359,27 @@ class TestMain:
         text = capsys.readouterr().out
         assert "PASS sphere d=2" in text
         assert "FAIL booth d=2" in text
+
+    @pytest.mark.parametrize("passing", [["PASS booth d=2"], []])
+    def test_check_fails_a_cell_whose_every_run_failed(self, tmp_path, capsys, passing):
+        out = tmp_path / "res"
+        self._write_runs(out, [("booth", 2, s, 1e-9) for s in (1, 2) if passing])
+        with (out / "runs.csv").open("a") as fh:
+            fh.write("sphere,2,1,nan,0,0,0.000,\nsphere,2,2,nan,0,0,0.000,\n")
+        assert main(["check", "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" median=")[0] for line in lines] == [
+            *passing, "FAIL sphere d=2 has no successful run"]
+
+    def test_check_rejects_a_repeated_run(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (1, 2, 1)])
+        assert main(["check", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        (err,) = captured.err.splitlines()
+        assert err == (f"error: {out / 'runs.csv'}:4: repeated run sphere d=2 seed=1 "
+                       "(first on line 2)")
+        assert captured.out == ""
 
     def test_check_warns_when_the_results_used_another_config(self, tmp_path, capsys):
         out = tmp_path / "res"

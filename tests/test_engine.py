@@ -37,8 +37,6 @@ def make_state(positions, fitness, best_index, vorticity=None, is_vortex=None):
         vorticity=np.asarray(vorticity, dtype=np.float64),
         fitness=fitness,
         is_vortex=is_vortex,
-        best_position=positions[best_index].copy(),
-        best_fitness=float(fitness[best_index]),
         best_vorticity=float(vorticity[best_index]) if not np.isscalar(vorticity) else 0.5,
         best_index=best_index,
     )
@@ -54,9 +52,7 @@ class TestInitializeSwarm:
     def test_best_record_is_population_minimum(self):
         objective = get_objective("sphere", 2)
         state = initialize_swarm(VoaConfig(), objective, RandomSource(3))
-        assert state.best_fitness == state.fitness.min()
         assert state.best_index == int(np.argmin(state.fitness))
-        np.testing.assert_array_equal(state.best_position, state.positions[state.best_index])
 
     def test_positions_inside_bounds(self):
         objective = get_objective("mccormick", 2)
@@ -82,7 +78,6 @@ class TestInitializeSwarm:
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.fitness, b.fitness)
         np.testing.assert_array_equal(a.vorticity, b.vorticity)
-        assert a.best_fitness == b.best_fitness
         assert a.best_index == b.best_index
 
     def test_evaluation_count(self):
@@ -134,17 +129,17 @@ class TestRefreshFitnessAndBest:
         state = make_state(positions, [99.0, 1.0], best_index=1,
                            vorticity=[0.3, 0.8])
         refresh_fitness_and_best(state, quadratic_objective())
-        assert state.best_fitness == 0.25
         assert state.best_index == 0
+        assert state.fitness[0] == 0.25
         assert state.best_vorticity == 0.3
-        np.testing.assert_array_equal(state.best_position, [0.5, 0.0])
+        np.testing.assert_array_equal(state.positions[0], [0.5, 0.0])
 
     def test_tie_keeps_incumbent(self):
         positions = np.array([[0.0, 1.0], [1.0, 0.0]])
         state = make_state(positions, [1.0, 1.0], best_index=1)
         refresh_fitness_and_best(state, quadratic_objective())
         assert state.best_index == 1
-        assert state.best_fitness == 1.0
+        assert state.fitness[1] == 1.0
 
     def test_iteration_best_marked_vortex(self):
         positions = np.array([[0.5, 0.0], [1.0, 0.0]])
@@ -163,8 +158,8 @@ class TestRefreshFitnessAndBest:
         non_finite = refresh_fitness_and_best(state, objective)
         assert non_finite == 1
         assert state.fitness[0] == np.inf
-        assert state.best_fitness == 0.25
-        assert np.isfinite(state.best_fitness)
+        assert state.best_index == 1
+        assert state.fitness[1] == 0.25
 
 
 class TestEliminateAndRespawn:
@@ -216,8 +211,8 @@ class TestRun:
         config = VoaConfig(max_iterations=0, seed=11)
         report = run(config, objective)
         fresh = initialize_swarm(config, objective, RandomSource(11))
-        assert report.best_fitness == fresh.best_fitness
-        np.testing.assert_array_equal(report.best_position, fresh.best_position)
+        assert report.best_fitness == fresh.fitness[fresh.best_index]
+        np.testing.assert_array_equal(report.best_position, fresh.positions[fresh.best_index])
         assert report.iterations == 0
         assert len(report.trace) == 1
 

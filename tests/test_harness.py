@@ -30,7 +30,6 @@ from vortexopt.engine import RunReport, RunTrace
 from vortexopt.harness import (
     REFERENCE_RESULTS,
     RUNS_HEADER,
-    SUMMARY_HEADER,
     TRACE_HEADER,
     read_runs_csv,
     write_trace,
@@ -396,14 +395,13 @@ class TestWriteReports:
     def test_headers_are_exact(self, tmp_path):
         assert RUNS_HEADER == ("function,dimension,seed,best_fitness,evaluations,"
                                "iterations,wall_time_ms,best_position")
-        assert SUMMARY_HEADER == "function,d2,d5,d10,d20,d30"
         assert TRACE_HEADER == ("iteration,best_fitness_so_far,mean_fitness,vortex_count,"
                                 "eliminations_triggered,non_finite_evals")
         plan = small_plan(tmp_path, trace_dir=tmp_path / "traces")
         reports = execute_plan(plan, jobs=1)
         paths = write_reports(reports, summarize(reports), plan)
         assert paths["runs"].read_text().splitlines()[0] == RUNS_HEADER
-        assert paths["summary"].read_text().splitlines()[0] == SUMMARY_HEADER
+        assert paths["summary"].read_text().splitlines()[0] == "function,d2,d5,d10,d20,d30"
         trace_file = tmp_path / "traces" / "booth_d2_s1.csv"
         assert trace_file.read_text().splitlines()[0] == TRACE_HEADER
 
@@ -447,6 +445,20 @@ class TestWriteReports:
         assert grid["booth"][0] != "NA"
         assert grid["booth"][1:] == ["NA"] * 4
         assert grid["sphere"] == ["NA"] * 5  # not part of this plan
+
+    def test_dimensions_outside_the_grid_get_their_own_columns(self, tmp_path):
+        summaries = summarize([fake_report("sphere", 40, 1, 0.5),
+                               fake_report("sphere", 3, 1, 0.25),
+                               fake_report("booth", 2, 1, 0.125)])
+        dims, grid = harness.summary_grid(summaries)
+        assert dims == (2, 5, 10, 20, 30, 3, 40)
+        rows = dict(grid)
+        assert rows["sphere"] == [None] * 5 + [0.25, 0.5]
+        assert rows["booth"] == [0.125] + [None] * 6
+        paths = write_reports([], summaries, small_plan(tmp_path))
+        header, *lines = paths["summary"].read_text().splitlines()
+        assert header == "function,d2,d5,d10,d20,d30,d3,d40"
+        assert "sphere,NA,NA,NA,NA,NA,2.50000e-01,5.00000e-01" in lines
 
     def test_trace_first_row_is_initialization(self, tmp_path):
         plan = small_plan(tmp_path, trace_dir=tmp_path / "traces")
@@ -573,7 +585,8 @@ _REPORTS = st.builds(
 
 class TestRunsCsvRoundTrip:
     @settings(max_examples=100, deadline=None)
-    @given(reports=st.lists(_REPORTS, max_size=4))
+    @given(reports=st.lists(_REPORTS, max_size=4,
+                            unique_by=lambda r: (r.function, r.dimension, r.seed)))
     @example(reports=[RunReport("ridge,2", 2, 1), RunReport('say "hi"\nthen\rbye', 3, 2)])
     def test_write_read_write_is_byte_identical(self, tmp_path_factory, reports):
         plan = make_plan(functions=["booth"], seed_count=1,

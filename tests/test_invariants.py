@@ -97,8 +97,6 @@ class TestRuleProperties:
             vorticity=np.full(n, 0.5),
             fitness=np.asarray(fitness, dtype=np.float64),
             is_vortex=np.zeros(n, dtype=bool),
-            best_position=np.zeros(1),
-            best_fitness=float(fitness[best]),
             best_vorticity=0.5,
             best_index=best,
         )
