@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .benchmarks import REGISTRY, benchmark_names
-from .core import VoaConfig
+from .core import VoaConfig, as_seed
 from .harness import (
     DEFAULT_BASE_SEED,
     DEFAULT_OUT_DIR,
@@ -26,6 +26,7 @@ from .harness import (
     execute_plan,
     make_plan,
     read_runs_csv,
+    succeeded,
     summarize,
     summary_grid,
     write_reports,
@@ -192,9 +193,11 @@ def _cmd_check(ns) -> int:
         raise ValueError(f"{runs_path} not found; run `vortexopt run` first")
     reports = read_runs_csv(runs_path)
     results = {(res.function, res.dimension): res for res in evaluate_checks(summarize(reports))}
+    runs = {}  # per cell, each seed's run: whether it succeeded
+    for r in reports:
+        runs.setdefault((r.function, r.dimension), {})[r.seed] = succeeded(r)
     # A table cell whose every run failed has no summary, but is still judged.
-    cells = [c for c in dict.fromkeys((r.function, r.dimension) for r in reports)
-             if c in REFERENCE_RESULTS]
+    cells = [c for c in runs if c in REFERENCE_RESULTS]
     if not cells:
         raise ValueError("no checkable cells in the results")
     summary_path = Path(ns.out) / "summary.json"
@@ -209,14 +212,27 @@ def _cmd_check(ns) -> int:
         if differing:
             print(f"warning: the results were run with {', '.join(differing)}; the reference "
                   "table is for the default configuration", file=sys.stderr)
+    planned = summary.get("seeds", []) if isinstance(summary, dict) else []
+    if not isinstance(planned, list):
+        raise ValueError(f"{summary_path}: seeds must be a list, got {planned!r}")
+    planned = [as_seed(f"{summary_path}: seeds[{i}]", s) for i, s in enumerate(planned)]
+    verdicts = []
     for function, dimension in cells:
-        res = results.get((function, dimension))
+        res, seeds = results.get((function, dimension)), runs[function, dimension]
         if res is None:
             print(f"FAIL {function} d={dimension} has no successful run")
+            verdicts.append(False)
             continue
-        print(f"{'PASS' if res.passed else 'FAIL'} {function} d={dimension} "
-              f"median={res.median:.6e} reference={res.reference_value:.4f} rule: {res.rule}")
-    return 0 if all(c in results and results[c].passed for c in cells) else 1
+        # A median over the surviving seeds is not the table's statistic.
+        failed = [s for s, ok in seeds.items() if not ok]
+        missing = [s for s in planned if s not in seeds]
+        note = "".join(f"; {kind} seeds {', '.join(map(str, lost))}"
+                       for kind, lost in (("failed", failed), ("missing", missing)) if lost)
+        verdicts.append(res.passed and not note)
+        print(f"{'PASS' if verdicts[-1] else 'FAIL'} {function} d={dimension} "
+              f"median={res.median:.6e} reference={res.reference_value:.4f} "
+              f"rule: {res.rule}{note}")
+    return 0 if all(verdicts) else 1
 
 
 def _cmd_list(_ns) -> int:

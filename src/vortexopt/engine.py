@@ -160,22 +160,21 @@ def initialize_swarm(config: VoaConfig, objective: Objective, rng: RandomSource)
         is_vortex=is_vortex,
         best_vorticity=float(vorticity[best_index]),
         best_index=best_index,
-        evaluations=n,
     )
 
 
-def mark_vortices(state: SwarmState) -> SwarmState:
+def mark_vortices(state: SwarmState) -> float:
     """Classify particles: fitness at or below the population mean is a vortex.
 
     The best-so-far holder keeps vortex status regardless of the mean test.
-    The mean is kept in ``state.mean_fitness``.
+    Returns the mean.
     """
     fitness = state.fitness
     # np.add.reduce / n is the sum and division that ndarray.mean performs.
-    state.mean_fitness = np.add.reduce(fitness) / fitness.shape[0]
-    state.is_vortex = fitness <= state.mean_fitness
+    mean = np.add.reduce(fitness) / fitness.shape[0]
+    state.is_vortex = fitness <= mean
     state.is_vortex[state.best_index] = True
-    return state
+    return mean
 
 
 def refresh_fitness_and_best(state: SwarmState, objective: Objective) -> int:
@@ -188,7 +187,6 @@ def refresh_fitness_and_best(state: SwarmState, objective: Objective) -> int:
     """
     raw = objective.evaluate_rows(state.positions)
     n = state.n_particles
-    state.evaluations += n
     finite = np.isfinite(raw)
     state.fitness = np.where(finite, raw, np.inf)
     it_best = int(state.fitness.argmin())
@@ -218,15 +216,14 @@ def eliminate_and_respawn(state: SwarmState, config: VoaConfig, objective: Objec
         state.positions[normal] = fresh
         state.vorticity[normal] = config.initial_vorticity
         state.fitness[normal] = _sanitize(objective.evaluate_rows(fresh))
-        state.evaluations += count
     return True
 
 
 def advance_iteration(state: SwarmState, config: VoaConfig, objective: Objective,
                       rng: RandomSource):
-    """Run one full iteration in stage order; returns (eliminated, non_finite)."""
+    """Run one full iteration in stage order; returns (mean, eliminated, non_finite)."""
     n = state.n_particles
-    mark_vortices(state)
+    mean = mark_vortices(state)
     holder = state.best_index
 
     # The pull, decay and move draws are consecutive in the stream and their
@@ -259,7 +256,7 @@ def advance_iteration(state: SwarmState, config: VoaConfig, objective: Objective
 
     non_finite = refresh_fitness_and_best(state, objective)
     eliminated = eliminate_and_respawn(state, config, objective, rng)
-    return eliminated, non_finite
+    return mean, eliminated, non_finite
 
 
 def run(config: VoaConfig, objective: Objective) -> RunReport:
@@ -277,18 +274,21 @@ def run(config: VoaConfig, objective: Objective) -> RunReport:
     rows = [(state.fitness[state.best_index], np.count_nonzero(state.is_vortex), False,
              np.count_nonzero(np.isinf(state.fitness)))]
     # Marking averages the fitness the previous iteration left, so the mean lags a row.
-    mean = []
+    means = []
     for _ in range(config.max_iterations):
-        eliminated, non_finite = advance_iteration(state, config, objective, rng)
-        mean.append(state.mean_fitness)
+        mean, eliminated, non_finite = advance_iteration(state, config, objective, rng)
+        means.append(mean)
         best = state.fitness[state.best_index]
         rows.append((best, np.count_nonzero(state.is_vortex), eliminated, non_finite))
         if config.target_fitness is not None and best <= config.target_fitness:
             break
-    mean.append(state.fitness.mean())
+    means.append(state.fitness.mean())
     best, vortex, eliminated, non_finite = zip(*rows)
-    trace = RunTrace(np.array(best), np.array(mean), np.array(vortex, dtype=np.int64),
+    trace = RunTrace(np.array(best), np.array(means), np.array(vortex, dtype=np.int64),
                      np.array(eliminated, dtype=bool), np.array(non_finite, dtype=np.int64))
+    # Each row evaluated the swarm once, and a culled row its respawned normals too:
+    # the cull leaves is_vortex as it was, so they number n - vortex_count.
+    respawned = config.n_particles - trace.vortex_count[trace.eliminations_triggered]
 
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return RunReport(
@@ -297,7 +297,7 @@ def run(config: VoaConfig, objective: Objective) -> RunReport:
         seed=config.seed,
         best_fitness=float(state.fitness[state.best_index]),
         best_position=state.positions[state.best_index].copy(),
-        evaluations=state.evaluations,
+        evaluations=config.n_particles * len(trace) + int(respawned.sum()),
         iterations=len(trace) - 1,
         wall_time_ms=wall_ms,
         config=config,

@@ -32,6 +32,7 @@ __all__ = [
     "REFERENCE_RESULTS",
     "make_plan",
     "execute_plan",
+    "succeeded",
     "summarize",
     "summary_grid",
     "write_reports",
@@ -260,6 +261,11 @@ class SummaryRow:
     reference_value: Optional[float] = None
 
 
+def succeeded(report: RunReport) -> bool:
+    """Whether a run counts in its cell's statistics: no error and a finite best."""
+    return report.error is None and bool(np.isfinite(report.best_fitness))
+
+
 def summarize(reports: Iterable[RunReport]) -> list:
     """Group reports by cell and reduce the per-seed bests to statistics.
 
@@ -269,7 +275,7 @@ def summarize(reports: Iterable[RunReport]) -> list:
     groups = {}
     for report in reports:
         bests = groups.setdefault((report.function, report.dimension), [])
-        if report.error is None and np.isfinite(report.best_fitness):
+        if succeeded(report):
             bests.append(report.best_fitness)
     rows = []
     for key, bests in groups.items():

@@ -49,8 +49,8 @@ def run_with_invariant_checks(config: VoaConfig, objective):
     n, d = config.n_particles, objective.dimension
     lower, upper = objective.lower, objective.upper
     real = {name: getattr(engine, name) for name in STAGES}
-    seen = SimpleNamespace(state=None, marks=0, eliminations=0, best=None, holder=None,
-                           holder_position=None)
+    seen = SimpleNamespace(state=None, means=[], eliminations=0, evaluations=0, best=None,
+                           holder=None, holder_position=None)
 
     def assert_in_box(positions):
         assert positions.shape == (n, d), "population size changed"
@@ -62,18 +62,20 @@ def run_with_invariant_checks(config: VoaConfig, objective):
         assert int(state.is_vortex.sum()) == 1
         assert state.fitness[state.best_index] == state.fitness.min()
         seen.state = state
+        seen.evaluations += n
         return state
 
     def mark_vortices(state):
-        real["mark_vortices"](state)
-        expected = state.fitness <= state.fitness.mean()
+        mean = real["mark_vortices"](state)
+        assert mean == state.fitness.mean(), "marking returned another mean"
+        expected = state.fitness <= mean
         expected[state.best_index] = True
         assert np.array_equal(state.is_vortex, expected), "marking rule violated"
-        seen.marks += 1
+        seen.means.append(mean)
         seen.best = state.fitness[state.best_index]
         seen.holder = state.best_index
         seen.holder_position = state.positions[state.best_index].copy()
-        return state
+        return mean
 
     def vorticity_pull(*args):
         pulled = real["vorticity_pull"](*args)
@@ -95,6 +97,7 @@ def run_with_invariant_checks(config: VoaConfig, objective):
         assert np.array_equal(state.positions[seen.holder], seen.holder_position), \
             "the record holder moved"
         non_finite = real["refresh_fitness_and_best"](state, objective)
+        seen.evaluations += n
         assert_in_box(state.positions)
         assert state.fitness.shape == (n,), "population size changed"
         record = state.fitness[state.best_index]
@@ -116,6 +119,8 @@ def run_with_invariant_checks(config: VoaConfig, objective):
         kept = pre_vortex if triggered else slice(None)
         assert np.array_equal(state.positions[kept], pre_positions[kept])
         seen.eliminations += triggered
+        # A cull re-evaluates every particle it respawns: all the normals.
+        seen.evaluations += int(np.count_nonzero(~pre_vortex)) if triggered else 0
         return triggered
 
     try:
@@ -127,10 +132,11 @@ def run_with_invariant_checks(config: VoaConfig, objective):
         for name, fn in real.items():
             setattr(engine, name, fn)
 
-    assert seen.marks == report.iterations
+    assert len(seen.means) == report.iterations
+    assert np.array_equal(report.trace.mean_fitness[:-1], seen.means)
     holder = seen.state.best_index
     assert report.best_fitness == seen.state.fitness[holder]
     assert np.array_equal(report.best_position, seen.state.positions[holder])
-    assert report.evaluations == seen.state.evaluations
+    assert report.evaluations == seen.evaluations
     assert seen.eliminations == report.trace.eliminations_triggered.sum()
     return seen.eliminations

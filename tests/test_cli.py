@@ -371,6 +371,45 @@ class TestMain:
         assert [line.split(" median=")[0] for line in lines] == [
             *passing, "FAIL sphere d=2 has no successful run"]
 
+    def test_check_names_and_fails_a_cell_with_failed_seeds(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        self._write_runs(out, [("sphere", 2, 1, 1e-9), ("booth", 2, 1, 1e-9)])
+        with (out / "runs.csv").open("a") as fh:
+            fh.write("sphere,2,2,nan,0,0,0.000,\nsphere,2,3,inf,100,10,1.000,0.0\n")
+        assert main(["check", "--out", str(out)]) == 1
+        sphere, booth = capsys.readouterr().out.splitlines()
+        assert sphere.startswith("FAIL sphere d=2 median=1.000000e-09 ")
+        assert sphere.endswith("rule: median <= 0.0001; failed seeds 2, 3")
+        assert booth.startswith("PASS booth d=2 ") and "seeds" not in booth
+
+    def test_check_names_and_fails_missing_planned_seeds(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (1, 3)])
+        with (out / "runs.csv").open("a") as fh:
+            fh.write("sphere,2,4,nan,0,0,0.000,\n")
+        (out / "summary.json").write_text(json.dumps({"seeds": [1, 2, 3, 4, 5]}))
+        assert main(["check", "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("FAIL sphere d=2 median=1.000000e-09 ")
+        assert line.endswith("; failed seeds 4; missing seeds 2, 5")
+        (out / "summary.json").write_text(json.dumps({"seeds": [1, 3]}))
+        assert main(["check", "--out", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines()[0].endswith("; failed seeds 4")
+
+    @pytest.mark.parametrize("seeds,named", [("1", "seeds must be a list, got '1'"),
+                                             ([1, 2.0], "seeds[1] must be an integer"),
+                                             ([True], "seeds[0] must be an integer"),
+                                             ([-1], "seeds[0] must lie in")])
+    def test_check_names_bad_planned_seeds(self, tmp_path, capsys, seeds, named):
+        out = tmp_path / "res"
+        self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (1, 2)])
+        (out / "summary.json").write_text(json.dumps({"seeds": seeds}))
+        assert main(["check", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        (err,) = captured.err.splitlines()
+        assert err.startswith(f"error: {out / 'summary.json'}: {named}")
+        assert captured.out == ""
+
     def test_check_rejects_a_repeated_run(self, tmp_path, capsys):
         out = tmp_path / "res"
         self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (1, 2, 1)])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import rowwise
 from oracles import splitmix64_units
-from vortexopt import Objective, VoaConfig
+from vortexopt import Objective, VoaConfig, run
 from vortexopt.core import _BLOCK_DRAWS, RandomSource, as_real, as_seed
 
 
@@ -355,3 +355,17 @@ class TestObjective:
         obj = Objective(name="misshapen", bounds=((-1.0, 1.0),) * 2, evaluate=evaluate)
         with pytest.raises(ValueError, match=r"'misshapen'.*\(3,\)"):
             obj.evaluate_rows(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("n,d,threshold", [(3, 3, 0), (2, 2, None), (2, 3, None)])
+    def test_a_vector_function_fails_at_the_first_evaluation(self, n, d, threshold):
+        # With as many particles as coordinates, X[i] of an (n, d) stack is a
+        # row, so a function of one vector returns per-column values of the
+        # right shape; with fewer, X[i] raises IndexError. Either way the run
+        # must fail at the first evaluation, naming the objective.
+        obj = Objective(name="vector", bounds=((-1.0, 1.0),) * d,
+                        evaluate=lambda X: sum(X[i] ** 2 for i in range(d)))
+        config = VoaConfig(n_particles=n, elimination_threshold=threshold, max_iterations=3)
+        with pytest.raises(ValueError, match=r"^objective 'vector': evaluate raised IndexError"):
+            run(config, obj)
+        with pytest.raises(ValueError, match=r"^objective 'vector'"):
+            obj.evaluate_rows(np.zeros((d, d)))

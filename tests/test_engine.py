@@ -82,8 +82,7 @@ class TestInitializeSwarm:
 
     def test_evaluation_count(self):
         objective = get_objective("sphere", 2)
-        state = initialize_swarm(VoaConfig(), objective, RandomSource(2))
-        assert state.evaluations == 50
+        assert run(VoaConfig(max_iterations=0, seed=2), objective).evaluations == 50
 
 
 class TestMarkVortices:
@@ -102,10 +101,9 @@ class TestMarkVortices:
         mark_vortices(state)
         assert list(state.is_vortex) == [True, True, False]
 
-    def test_mean_kept_on_state(self):
+    def test_mean_returned(self):
         state = make_state(np.zeros((3, 1)), [1.0, 2.0, 6.0], best_index=0)
-        mark_vortices(state)
-        assert state.mean_fitness == 3.0
+        assert mark_vortices(state) == 3.0
 
     def test_record_holder_forced_vortex(self):
         # holder sits above the mean but keeps vortex status anyway
@@ -329,9 +327,9 @@ class TestIterationContract:
         real_mark, real_eliminate = engine.mark_vortices, engine.eliminate_and_respawn
 
         def mark(state):
-            real_mark(state)
+            mean = real_mark(state)
             vortices.append(int(np.count_nonzero(state.is_vortex)))
-            return state
+            return mean
 
         def eliminate(state, *rest):
             normal = int(np.count_nonzero(~state.is_vortex))

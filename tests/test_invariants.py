@@ -100,9 +100,8 @@ class TestRuleProperties:
             best_vorticity=0.5,
             best_index=best,
         )
-        mark_vortices(state)
         mean = state.fitness.mean()
-        assert state.mean_fitness == mean
+        assert mark_vortices(state) == mean
         for i in range(n):
             expected = fitness[i] <= mean or i == best
             assert state.is_vortex[i] == expected
