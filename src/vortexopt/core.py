@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -73,7 +73,8 @@ class RandomSource:
     fit in the rest of the block starts a new block: the unconsumed tail of
     the old one is copied to its front and only the draws after the tail are
     generated, so every draw is hashed once. Every block is a new array, so
-    an array already returned never changes.
+    an array already returned never changes. ``peek(n)`` returns the draws
+    the next ``uniform_unit_batch(n)`` will, without consuming them.
     """
 
     def __init__(self, seed: int):
@@ -98,8 +99,8 @@ class RandomSource:
         np.right_shift(z, 11, out=z)
         return np.multiply(z, _UNIT_SCALE, out=out)
 
-    def uniform_unit_batch(self, n: int) -> np.ndarray:
-        """Return the next ``n`` uniform draws in [0, 1) as a float64 array."""
+    def peek(self, n: int) -> np.ndarray:
+        """Return the next ``n`` uniform draws in [0, 1) without consuming them."""
         if n < 0:
             raise ValueError(f"batch size must be non-negative, got {n}")
         block, start = self._block, self._pos
@@ -109,10 +110,15 @@ class RandomSource:
             fresh[:tail] = block[start:]
             self._generate(self._count + tail + 1, fresh[tail:])
             self._block = block = fresh
-            start = 0
-        self._pos = start + n
-        self._count += n
+            self._pos = start = 0
         return block[start:start + n]
+
+    def uniform_unit_batch(self, n: int) -> np.ndarray:
+        """Return the next ``n`` uniform draws in [0, 1) as a float64 array."""
+        draws = self.peek(n)
+        self._pos += n
+        self._count += n
+        return draws
 
 
 @dataclass(frozen=True)
@@ -132,6 +138,11 @@ class VoaConfig:
     must be integers (Python or numpy, stored as ``int``); floats, strings and
     bools are rejected. The other numeric fields are reals, stored as ``float``.
 
+    ``elimination_threshold`` defaults to ``n_particles`` and ``min_vorticity``
+    to ``-max_vorticity``. ``dataclasses.replace`` derives such a default
+    again from the fields it changes and keeps a value the caller gave; a
+    given value equal to the source's derived one counts as derived.
+
     ``initial_vorticity`` may lie outside ``[min_vorticity, max_vorticity]``:
     the one-time kick clamps the initial best particle's value, and the first
     vorticity pull a particle goes through (respawned particles included)
@@ -148,8 +159,19 @@ class VoaConfig:
     pull_epsilon: float = 1e-9
     per_coordinate_draws: bool = field(default=True, init=False)
     target_fitness: Optional[float] = None
+    # The derived defaults and their values; not a field, so neither compared
+    # nor echoed.
+    _derived: InitVar[Optional[dict]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _derived):
+        # A field still at the value the source derived is derived again: for
+        # dataclasses.replace, which passes every field and _derived back.
+        for name, value in (_derived or {}).items():
+            given = getattr(self, name)
+            if type(given) is type(value) and given == value:
+                object.__setattr__(self, name, None)
+        derived = [name for name in ("elimination_threshold", "min_vorticity")
+                   if getattr(self, name) is None]
         if self.elimination_threshold is None:
             object.__setattr__(self, "elimination_threshold", self.n_particles)
         for name in ("n_particles", "max_iterations", "elimination_threshold"):
@@ -161,6 +183,7 @@ class VoaConfig:
             object.__setattr__(self, name, as_real(name, getattr(self, name)))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        object.__setattr__(self, "_derived", {name: getattr(self, name) for name in derived})
         if self.target_fitness is not None:
             object.__setattr__(self, "target_fitness", as_real("target_fitness", self.target_fitness))
             if math.isnan(self.target_fitness):
@@ -212,12 +235,16 @@ class Objective:
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "dimension", len(bounds))
         for i, (lo, hi) in enumerate(bounds):
-            if not -math.inf < lo < hi < math.inf:
-                raise ValueError(f"bounds[{i}] must be finite with lower < upper, got ({lo}, {hi})")
+            # A finite width implies finite limits; a box wider than a float
+            # holds would map every draw to an infinite coordinate.
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise ValueError(f"bounds[{i}] must be finite with lower < upper and a finite "
+                                 f"width upper - lower, got ({lo}, {hi})")
         for attr, column in (("_lower", 0), ("_upper", 1)):
             limits = np.array([b[column] for b in bounds], dtype=np.float64)
             limits.flags.writeable = False
             object.__setattr__(self, attr, limits)
+        object.__setattr__(self, "_width", self._upper - self._lower)
 
     @property
     def lower(self) -> np.ndarray:
@@ -229,11 +256,15 @@ class Objective:
         """Read-only array of the upper bounds, one per dimension."""
         return self._upper
 
+    def to_box(self, u: np.ndarray) -> np.ndarray:
+        """Map an (..., dimension) stack of unit draws into the box."""
+        return self._lower + u * self._width
+
     def sample(self, rng: RandomSource, count: int) -> np.ndarray:
         """Draw ``count`` points uniformly in the box as a (count, dimension)
         array, taking draws point-major, coordinate index ascending."""
-        u = rng.uniform_unit_batch(count * self.dimension).reshape(count, self.dimension)
-        return self._lower + u * (self._upper - self._lower)
+        return self.to_box(rng.uniform_unit_batch(count * self.dimension)
+                           .reshape(count, self.dimension))
 
     def evaluate_rows(self, positions: np.ndarray) -> np.ndarray:
         """Evaluate an (..., dimension) stack of positions, one fitness per row;

@@ -16,8 +16,11 @@ Randomness is consumed in a fixed order (stage by stage, particle index
 ascending, coordinate index ascending within a particle), so a run is a pure
 function of (config, objective, seed). ``advance_iteration`` takes the pull,
 decay and move draws of an iteration in one batch and slices it, since their
-counts are known once marking is done; the respawn draws come from a second
-call. The stream layout is the same as with one call per stage.
+counts are known once marking is done. The j-th respawned particle takes the
+next draws j*d to j*d + d - 1 whatever its index, so candidates for every
+normal particle are peeked and evaluated with the moved swarm in one call;
+a cull places a prefix of them and consumes only their draws. The stream
+layout is the same as with one call per stage.
 """
 
 from __future__ import annotations
@@ -130,11 +133,6 @@ def move_toward_best(positions, vorticity, best_position, r, lower, upper):
     return moved
 
 
-def _sanitize(values: np.ndarray) -> np.ndarray:
-    # Non-finite objective values compare as +inf so they never win a record.
-    return np.where(np.isfinite(values), values, np.inf)
-
-
 def initialize_swarm(config: VoaConfig, objective: Objective, rng: RandomSource) -> SwarmState:
     """Place the population uniformly in the box and seed the best record.
 
@@ -144,7 +142,9 @@ def initialize_swarm(config: VoaConfig, objective: Objective, rng: RandomSource)
     """
     n = config.n_particles
     positions = objective.sample(rng, n)
-    fitness = _sanitize(objective.evaluate_rows(positions))
+    raw = objective.evaluate_rows(positions)
+    # Non-finite objective values compare as +inf so they never win a record.
+    fitness = np.where(np.isfinite(raw), raw, np.inf)
     vorticity = np.full(n, config.initial_vorticity, dtype=np.float64)
     best_index = int(fitness.argmin())
     r = float(rng.uniform_unit_batch(1)[0])
@@ -177,45 +177,50 @@ def mark_vortices(state: SwarmState) -> float:
     return mean
 
 
-def refresh_fitness_and_best(state: SwarmState, objective: Objective) -> int:
-    """Re-evaluate every particle and update the best-so-far record.
+def refresh_fitness_and_best(state: SwarmState, objective: Objective,
+                             candidates: np.ndarray) -> tuple:
+    """Re-evaluate the swarm and the cull's (c, d) candidates in one call; update the record.
 
     The record is the holder's row, which did not move, so a pure objective
     re-evaluates it to the value it held. The iteration's best particle is
     marked vortex and takes the record only on strict improvement; ties keep
-    the holder. Non-finite values are stored as +inf; their count is returned.
+    the holder. Non-finite values are stored as +inf; returns their count among
+    the n particles and the candidates' (c,) fitness.
     """
-    raw = objective.evaluate_rows(state.positions)
     n = state.n_particles
+    raw = objective.evaluate_rows(np.concatenate((state.positions, candidates)))
     finite = np.isfinite(raw)
-    state.fitness = np.where(finite, raw, np.inf)
+    values = np.where(finite, raw, np.inf)
+    state.fitness = values[:n]
     it_best = int(state.fitness.argmin())
     state.is_vortex[it_best] = True
     if state.fitness[it_best] < state.fitness[state.best_index]:
         state.best_vorticity = float(state.vorticity[it_best])
         state.best_index = it_best
-    return n - int(np.count_nonzero(finite))
+    return n - int(np.count_nonzero(finite[:n])), values[n:]
 
 
 def eliminate_and_respawn(state: SwarmState, config: VoaConfig, objective: Objective,
-                          rng: RandomSource) -> bool:
+                          rng: RandomSource, candidates: np.ndarray,
+                          candidate_fitness: np.ndarray) -> bool:
     """Cull and replace the normal particles when few enough remain.
 
     Triggers when the normal count is at or below the elimination threshold;
-    every normal particle is then replaced by a fresh uniform-random one at
-    the initial vorticity, already evaluated, still with normal status.
-    Vortex particles, including the record holder, are untouched and the
-    population size never changes. Returns whether the cull triggered.
+    every normal particle is then replaced, index ascending, by the next
+    candidate row at the initial vorticity, with its fitness, still with
+    normal status, and the candidates' draws are consumed. Vortex particles,
+    including the record holder, are untouched and the population size never
+    changes. Returns whether the cull triggered.
     """
     count = state.n_particles - int(np.count_nonzero(state.is_vortex))
     if count > config.elimination_threshold:
         return False
     if count:
         normal = (~state.is_vortex).nonzero()[0]
-        fresh = objective.sample(rng, count)
-        state.positions[normal] = fresh
+        rng.uniform_unit_batch(count * objective.dimension)
+        state.positions[normal] = candidates[:count]
         state.vorticity[normal] = config.initial_vorticity
-        state.fitness[normal] = _sanitize(objective.evaluate_rows(fresh))
+        state.fitness[normal] = candidate_fitness[:count]
     return True
 
 
@@ -254,8 +259,12 @@ def advance_iteration(state: SwarmState, config: VoaConfig, objective: Objective
                                        objective.lower, objective.upper)
     state.positions[holder] = before[holder]
 
-    non_finite = refresh_fitness_and_best(state, objective)
-    eliminated = eliminate_and_respawn(state, config, objective, rng)
+    # Marking left n - 1 - k normals; a cull takes them all, or one fewer if refresh marks one.
+    rows = n - 1 - k if n - 2 - k <= config.elimination_threshold else 0
+    candidates = objective.to_box(rng.peek(rows * d).reshape(rows, d))
+    non_finite, candidate_fitness = refresh_fitness_and_best(state, objective, candidates)
+    eliminated = eliminate_and_respawn(state, config, objective, rng, candidates,
+                                       candidate_fitness)
     return mean, eliminated, non_finite
 
 

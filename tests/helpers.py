@@ -93,10 +93,18 @@ def run_with_invariant_checks(config: VoaConfig, objective):
         assert_in_box(moved)
         return moved
 
-    def refresh_fitness_and_best(state, objective):
+    def refresh_fitness_and_best(state, objective, candidates):
         assert np.array_equal(state.positions[seen.holder], seen.holder_position), \
             "the record holder moved"
-        non_finite = real["refresh_fitness_and_best"](state, objective)
+        # The refresh marks at most one more vortex, so a cull can trigger only
+        # with normals - 1 <= threshold, and it may then take every normal.
+        normals = int(np.count_nonzero(~state.is_vortex))
+        rows = normals if normals - 1 <= config.elimination_threshold else 0
+        assert candidates.shape == (rows, d), "candidates for other than every normal particle"
+        assert np.all(candidates >= lower) and np.all(candidates <= upper), "left the box"
+        non_finite, candidate_fitness = real["refresh_fitness_and_best"](
+            state, objective, candidates)
+        assert candidate_fitness.shape == (len(candidates),)
         seen.evaluations += n
         assert_in_box(state.positions)
         assert state.fitness.shape == (n,), "population size changed"
@@ -107,19 +115,25 @@ def run_with_invariant_checks(config: VoaConfig, objective):
         # kept holder's unmoved row re-evaluates to the value it held.
         if state.best_index == seen.holder:
             assert record == seen.best, "a kept holder's fitness changed on re-evaluation"
-        return non_finite
+        return non_finite, candidate_fitness
 
-    def eliminate_and_respawn(state, *rest):
+    def eliminate_and_respawn(state, config, objective, rng, candidates, candidate_fitness):
         pre_positions = state.positions.copy()
         pre_vortex = state.is_vortex.copy()
-        triggered = real["eliminate_and_respawn"](state, *rest)
+        triggered = real["eliminate_and_respawn"](state, config, objective, rng, candidates,
+                                                  candidate_fitness)
         assert_in_box(state.positions)
         assert np.array_equal(state.is_vortex, pre_vortex)
         # Vortex particles survive untouched; only normals may be replaced.
         kept = pre_vortex if triggered else slice(None)
         assert np.array_equal(state.positions[kept], pre_positions[kept])
+        if triggered:
+            # The normals, index ascending, took a prefix of the candidates.
+            count = int(np.count_nonzero(~pre_vortex))
+            assert np.array_equal(state.positions[~pre_vortex], candidates[:count])
+            assert np.array_equal(state.fitness[~pre_vortex], candidate_fitness[:count])
         seen.eliminations += triggered
-        # A cull re-evaluates every particle it respawns: all the normals.
+        # Each particle a cull respawns counts one evaluation: all the normals.
         seen.evaluations += int(np.count_nonzero(~pre_vortex)) if triggered else 0
         return triggered
 

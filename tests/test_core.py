@@ -1,4 +1,4 @@
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,18 @@ from helpers import rowwise
 from oracles import splitmix64_units
 from vortexopt import Objective, VoaConfig, run
 from vortexopt.core import _BLOCK_DRAWS, RandomSource, as_real, as_seed
+
+
+def peek_then_take(rng, i, n):
+    """The next ``n`` draws. Every odd ``i`` first peeks past them, which may
+    start a new block; the peek must show the draws taken and consume none."""
+    if i % 2:
+        ahead = rng.peek(n + 7).copy()
+        draws = rng.uniform_unit_batch(n)
+        np.testing.assert_array_equal(draws, ahead[:n])
+        np.testing.assert_array_equal(rng.peek(7), ahead[n:])
+        return draws
+    return rng.uniform_unit_batch(n)
 
 
 class TestRandomSource:
@@ -47,7 +59,7 @@ class TestRandomSource:
     ])
     def test_mixed_batches_across_blocks_match_reference(self, sizes):
         rng = RandomSource(2**63 + 5)
-        draws = np.concatenate([rng.uniform_unit_batch(n) for n in sizes])
+        draws = np.concatenate([peek_then_take(rng, i, n) for i, n in enumerate(sizes)])
         np.testing.assert_array_equal(draws, splitmix64_units(2**63 + 5, sum(sizes)))
 
     def test_returned_draws_unchanged_by_later_draws(self):
@@ -77,7 +89,7 @@ class TestRandomSource:
 
         monkeypatch.setattr(RandomSource, "_generate", spy)
         rng = RandomSource(seed)
-        draws = np.concatenate([rng.uniform_unit_batch(n) for n in sizes])
+        draws = np.concatenate([peek_then_take(rng, i, n) for i, n in enumerate(sizes)])
         np.testing.assert_array_equal(draws, reference[:sum(sizes)])
         starts = [first for first, _ in generated]
         assert starts == [1] + [last + 1 for _, last in generated[:-1]]
@@ -194,6 +206,25 @@ class TestVoaConfig:
     def test_min_vorticity_overridable(self):
         assert VoaConfig(max_vorticity=3.0, min_vorticity=-1.0).min_vorticity == -1.0
 
+    def test_replace_derives_a_smaller_threshold_again(self):
+        assert replace(VoaConfig(), n_particles=30) == VoaConfig(n_particles=30)
+
+    def test_replace_derives_a_larger_threshold_again(self):
+        assert replace(VoaConfig(), n_particles=80).elimination_threshold == 80
+
+    def test_replace_derives_min_vorticity_again(self):
+        assert replace(VoaConfig(), max_vorticity=3.0).min_vorticity == -3.0
+
+    def test_replace_keeps_given_values(self):
+        config = VoaConfig(elimination_threshold=10, min_vorticity=-2.0)
+        assert replace(config, n_particles=80, max_vorticity=3.0) == VoaConfig(
+            n_particles=80, max_vorticity=3.0, elimination_threshold=10, min_vorticity=-2.0)
+        changed = replace(VoaConfig(), elimination_threshold=20, min_vorticity=-1.0)
+        assert replace(changed, n_particles=30, max_vorticity=3.0) == VoaConfig(
+            n_particles=30, max_vorticity=3.0, elimination_threshold=20, min_vorticity=-1.0)
+        assert replace(replace(VoaConfig(), n_particles=30), n_particles=40) == VoaConfig(
+            n_particles=40)
+
     @pytest.mark.parametrize("kwargs", [
         {"n_particles": 1},
         {"max_iterations": -1},
@@ -283,8 +314,11 @@ class TestObjective:
         with pytest.raises(ValueError):
             Objective(name="bad", bounds=((2.0, 1.0),), evaluate=lambda p: 0.0)
 
+    # The last pair has finite limits, but upper - lower overflows to inf, so
+    # sample() would place every point at an infinite coordinate.
     @pytest.mark.parametrize("pair", [
         (-np.inf, np.inf), (0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan),
+        (-1e308, 1e308),
     ])
     def test_non_finite_bounds_rejected_by_index(self, pair):
         with pytest.raises(ValueError, match=r"^bounds\[1\] must be finite"):

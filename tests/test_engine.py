@@ -121,12 +121,15 @@ def quadratic_objective():
     )
 
 
+NO_CANDIDATES = np.empty((0, 2))
+
+
 class TestRefreshFitnessAndBest:
     def test_strict_improvement_replaces_record(self):
         positions = np.array([[0.5, 0.0], [1.0, 0.0]])
         state = make_state(positions, [99.0, 1.0], best_index=1,
                            vorticity=[0.3, 0.8])
-        refresh_fitness_and_best(state, quadratic_objective())
+        refresh_fitness_and_best(state, quadratic_objective(), NO_CANDIDATES)
         assert state.best_index == 0
         assert state.fitness[0] == 0.25
         assert state.best_vorticity == 0.3
@@ -135,7 +138,7 @@ class TestRefreshFitnessAndBest:
     def test_tie_keeps_incumbent(self):
         positions = np.array([[0.0, 1.0], [1.0, 0.0]])
         state = make_state(positions, [1.0, 1.0], best_index=1)
-        refresh_fitness_and_best(state, quadratic_objective())
+        refresh_fitness_and_best(state, quadratic_objective(), NO_CANDIDATES)
         assert state.best_index == 1
         assert state.fitness[1] == 1.0
 
@@ -143,7 +146,7 @@ class TestRefreshFitnessAndBest:
         positions = np.array([[0.5, 0.0], [1.0, 0.0]])
         state = make_state(positions, [99.0, 1.0], best_index=1)
         assert not state.is_vortex[0]
-        refresh_fitness_and_best(state, quadratic_objective())
+        refresh_fitness_and_best(state, quadratic_objective(), NO_CANDIDATES)
         assert state.is_vortex[0]
 
     def test_non_finite_fitness_flagged_and_never_wins(self):
@@ -153,11 +156,31 @@ class TestRefreshFitnessAndBest:
         )
         positions = np.array([[0.5], [-0.5]])
         state = make_state(positions, [99.0, 99.0], best_index=1)
-        non_finite = refresh_fitness_and_best(state, objective)
+        non_finite, _ = refresh_fitness_and_best(state, objective, np.empty((0, 1)))
         assert non_finite == 1
         assert state.fitness[0] == np.inf
         assert state.best_index == 1
         assert state.fitness[1] == 0.25
+
+    def test_candidates_share_the_swarm_call_and_never_take_the_record(self, monkeypatch):
+        objective = Objective(
+            name="partial", bounds=((-1.0, 1.0),),
+            evaluate=rowwise(lambda p: float("nan") if p[0] > 0.9 else float(p[0] ** 2)),
+        )
+        calls = []
+        real = Objective.evaluate_rows
+        monkeypatch.setattr(Objective, "evaluate_rows",
+                            lambda self, X: calls.append(X.shape) or real(self, X))
+        state = make_state(np.array([[0.5], [-0.5], [0.95]]), [99.0] * 3, best_index=1)
+        non_finite, candidate_fitness = refresh_fitness_and_best(
+            state, objective, np.array([[0.0], [0.95], [0.1]]))
+        assert calls == [(6, 1)]
+        # Only the swarm's rows count as non-finite, and a better candidate
+        # does not become the record: it is not a particle yet.
+        assert non_finite == 1
+        np.testing.assert_array_equal(state.fitness, [0.25, 0.25, np.inf])
+        np.testing.assert_array_equal(candidate_fitness, [0.0, np.inf, 0.1 ** 2])
+        assert state.best_index == 1
 
 
 class TestEliminateAndRespawn:
@@ -173,23 +196,30 @@ class TestEliminateAndRespawn:
         state = self._state(50, n_vortex=40)
         before = state.positions.copy()
         config = VoaConfig(elimination_threshold=50)
-        triggered = eliminate_and_respawn(state, config, objective, RandomSource(4))
+        rng = RandomSource(4)
+        # One candidate more than the normals: the cull takes a prefix.
+        candidates = objective.to_box(rng.peek(11 * 2).reshape(11, 2))
+        candidate_fitness = objective.evaluate_rows(candidates)
+        triggered = eliminate_and_respawn(state, config, objective, rng, candidates,
+                                          candidate_fitness)
         assert triggered
         assert state.n_particles == 50
         # vortex rows untouched, normal rows resampled and re-evaluated
         np.testing.assert_array_equal(state.positions[:40], before[:40])
-        assert not np.array_equal(state.positions[40:], before[40:])
+        np.testing.assert_array_equal(state.positions[40:], objective.sample(RandomSource(4), 10))
         assert np.all(state.vorticity[40:] == config.initial_vorticity)
         expected = [p[0] ** 2 + p[1] ** 2 for p in state.positions[40:]]
         np.testing.assert_allclose(state.fitness[40:], expected, rtol=1e-15)
         assert not state.is_vortex[40:].any()
+        # Only the placed rows' draws were consumed.
+        assert rng.uniform_unit_batch(1)[0] == splitmix64_units(4, 21)[-1]
 
     def test_all_vortex_triggers_vacuously(self):
         objective = quadratic_objective()
         state = self._state(10, n_vortex=10)
         before = state.positions.copy()
         triggered = eliminate_and_respawn(state, VoaConfig(n_particles=10, elimination_threshold=10),
-                                          objective, RandomSource(4))
+                                          objective, RandomSource(4), NO_CANDIDATES, np.empty(0))
         assert triggered
         np.testing.assert_array_equal(state.positions, before)
 
@@ -198,7 +228,7 @@ class TestEliminateAndRespawn:
         state = self._state(10, n_vortex=9)
         before = state.positions.copy()
         triggered = eliminate_and_respawn(state, VoaConfig(n_particles=10, elimination_threshold=0),
-                                          objective, RandomSource(4))
+                                          objective, RandomSource(4), NO_CANDIDATES, np.empty(0))
         assert not triggered
         np.testing.assert_array_equal(state.positions, before)
 
@@ -314,16 +344,34 @@ STAGES = ("mark_vortices", "vorticity_pull", "vorticity_decay", "move_toward_bes
 class TestIterationContract:
     """What tools that wrap the stage functions from outside rely on."""
 
-    @pytest.mark.parametrize("name,dimension,kwargs", [
-        ("booth", 2, {}),
-        ("sphere", 5, {}),
-        ("rosenbrock", 3, {"n_particles": 12, "elimination_threshold": 3}),
+    # The cull's boundary cases, each hit by its parameters within 8 iterations:
+    # "dropped", a normal particle takes the iteration's best, so the cull
+    # leaves the last candidate and its draws in the stream; "threshold+1 cull"
+    # and "threshold+1 no cull", marking leaves threshold + 1 normals; "no
+    # normals", every particle is a vortex (a flat objective).
+    @pytest.mark.parametrize("name,dimension,kwargs,case", [
+        pytest.param("booth", 2, {}, None, id="booth-2-kwargs0"),
+        pytest.param("sphere", 5, {}, None, id="sphere-5-kwargs1"),
+        pytest.param("rosenbrock", 3, {"n_particles": 12, "elimination_threshold": 3}, None,
+                     id="rosenbrock-3-kwargs2"),
+        pytest.param("sphere", 5, {"n_particles": 6, "elimination_threshold": 4}, "dropped",
+                     id="dropped"),
+        pytest.param("sphere", 5, {"n_particles": 8, "elimination_threshold": 3},
+                     "threshold+1 cull", id="threshold+1-cull"),
+        pytest.param("booth", 2, {"n_particles": 8, "elimination_threshold": 1},
+                     "threshold+1 no cull", id="threshold+1-no-cull"),
+        pytest.param("flat", 2, {"n_particles": 5}, "no normals", id="no-normals"),
     ])
-    def test_iteration_consumes_the_stream_layout(self, monkeypatch, name, dimension, kwargs):
+    def test_iteration_consumes_the_stream_layout(self, monkeypatch, name, dimension, kwargs,
+                                                  case):
         config = VoaConfig(seed=21, **kwargs)
-        objective = get_objective(name, dimension)
-        n = config.n_particles
-        vortices, respawned = [], []
+        if name == "flat":
+            objective = Objective(name="flat", bounds=((-1.0, 1.0),) * dimension,
+                                  evaluate=lambda X: np.zeros(X.shape[:-1]))
+        else:
+            objective = get_objective(name, dimension)
+        n, threshold = config.n_particles, config.elimination_threshold
+        vortices, respawned, hit = [], [], set()
         real_mark, real_eliminate = engine.mark_vortices, engine.eliminate_and_respawn
 
         def mark(state):
@@ -335,6 +383,13 @@ class TestIterationContract:
             normal = int(np.count_nonzero(~state.is_vortex))
             triggered = real_eliminate(state, *rest)
             respawned.append(normal if triggered else 0)
+            marked_normals = n - vortices[-1]
+            if normal == marked_normals - 1 and triggered:
+                hit.add("dropped")
+            if marked_normals == threshold + 1:
+                hit.add("threshold+1 cull" if triggered else "threshold+1 no cull")
+            if marked_normals == 0:
+                hit.add("no normals")
             return triggered
 
         monkeypatch.setattr(engine, "mark_vortices", mark)
@@ -348,6 +403,7 @@ class TestIterationContract:
             # The next draw is the one right after the counted ones.
             assert rng.uniform_unit_batch(1)[0] == splitmix64_units(config.seed, used + 1)[-1]
             used += 1
+        assert case is None or case in hit
 
     def test_stages_called_through_module_globals(self, monkeypatch):
         config = VoaConfig(seed=5)
@@ -364,10 +420,14 @@ class TestIterationContract:
         advance_iteration(state, config, objective, rng)
         assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(STAGES, 1)
         assert calls["mark_vortices"][0] == (state,)
-        assert calls["refresh_fitness_and_best"][0] == (state, objective)
+        refresh_args = calls["refresh_fitness_and_best"][0]
+        assert len(refresh_args) == 3
+        assert refresh_args[0] is state and refresh_args[1] is objective
+        # The benchmark's tracer reads the cull's first four arguments.
         eliminate_args = calls["eliminate_and_respawn"][0]
-        assert len(eliminate_args) == 4
+        assert len(eliminate_args) == 6
         assert all(a is b for a, b in zip(eliminate_args, (state, config, objective, rng)))
+        assert eliminate_args[4] is refresh_args[2]
 
 
 class TestWrapperFreePath:
