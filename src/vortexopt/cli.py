@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -22,6 +21,7 @@ from .harness import (
     DEFAULT_OUT_DIR,
     DEFAULT_SEED_COUNT,
     REFERENCE_RESULTS,
+    _sci,
     evaluate_checks,
     execute_plan,
     make_plan,
@@ -153,14 +153,6 @@ def parse_plan(argv) -> tuple:
     return plan_from_args(build_parser().parse_args(["run", *argv]))
 
 
-def _print_summary_table(summaries):
-    dims, grid = summary_grid(summaries)
-    print(f"{'function':<18}" + "".join(f"{f'd={d}':>12}" for d in dims))
-    for name, medians in grid:
-        print(f"{name:<18}" + "".join(f"{'NA':>12}" if m is None else f"{m:>12.4f}"
-                                      for m in medians))
-
-
 def _cmd_run(ns) -> int:
     plan, jobs = plan_from_args(ns)
     total = plan.n_runs
@@ -177,7 +169,11 @@ def _cmd_run(ns) -> int:
     summaries = summarize(reports)
     paths = write_reports(reports, summaries, plan)
     print(f"median best over {len(plan.seeds)} seed(s):")
-    _print_summary_table(summaries)
+    # summary.csv's cells; 13 columns keep a space before a negative median.
+    dims, grid = summary_grid(summaries)
+    print(f"{'function':<18}" + "".join(f"{f'd={d}':>13}" for d in dims))
+    for name, medians in grid:
+        print(f"{name:<18}" + "".join(f"{'NA' if m is None else _sci(m):>13}" for m in medians))
     print(f"\nreports written to {paths['runs']} and {paths['summary']}")
     if paths["traces"] is not None:
         print(f"traces written to {paths['traces']}")
@@ -207,7 +203,7 @@ def _cmd_check(ns) -> int:
         raise ValueError(f"{summary_path} is not valid JSON: {exc}") from None
     config = summary.get("config") if isinstance(summary, dict) else None
     if isinstance(config, dict):
-        differing = [f"{name}={config.get(name)}" for name, value in asdict(_DEFAULT).items()
+        differing = [f"{name}={config.get(name)}" for name, value in _DEFAULT.resolved().items()
                      if name != "seed" and config.get(name) != value]
         if differing:
             print(f"warning: the results were run with {', '.join(differing)}; the reference "

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import InitVar, dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -138,10 +138,9 @@ class VoaConfig:
     must be integers (Python or numpy, stored as ``int``); floats, strings and
     bools are rejected. The other numeric fields are reals, stored as ``float``.
 
-    ``elimination_threshold`` defaults to ``n_particles`` and ``min_vorticity``
-    to ``-max_vorticity``. ``dataclasses.replace`` derives such a default
-    again from the fields it changes and keeps a value the caller gave; a
-    given value equal to the source's derived one counts as derived.
+    ``min_vorticity`` and ``elimination_threshold`` keep what the caller gave,
+    None meaning "derive", so ``replace`` keeps it and equality compares it;
+    ``v_min``, ``threshold`` and ``resolved()`` read the values a run uses.
 
     ``initial_vorticity`` may lie outside ``[min_vorticity, max_vorticity]``:
     the one-time kick clamps the initial best particle's value, and the first
@@ -159,51 +158,51 @@ class VoaConfig:
     pull_epsilon: float = 1e-9
     per_coordinate_draws: bool = field(default=True, init=False)
     target_fitness: Optional[float] = None
-    # The derived defaults and their values; not a field, so neither compared
-    # nor echoed.
-    _derived: InitVar[Optional[dict]] = None
 
-    def __post_init__(self, _derived):
-        # A field still at the value the source derived is derived again: for
-        # dataclasses.replace, which passes every field and _derived back.
-        for name, value in (_derived or {}).items():
-            given = getattr(self, name)
-            if type(given) is type(value) and given == value:
-                object.__setattr__(self, name, None)
-        derived = [name for name in ("elimination_threshold", "min_vorticity")
-                   if getattr(self, name) is None]
-        if self.elimination_threshold is None:
-            object.__setattr__(self, "elimination_threshold", self.n_particles)
-        for name in ("n_particles", "max_iterations", "elimination_threshold"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        object.__setattr__(self, "seed", as_seed("seed", self.seed))
-        if self.min_vorticity is None:
-            object.__setattr__(self, "min_vorticity", -as_real("max_vorticity", self.max_vorticity))
-        for name in ("initial_vorticity", "max_vorticity", "min_vorticity", "pull_epsilon"):
-            object.__setattr__(self, name, as_real(name, getattr(self, name)))
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        object.__setattr__(self, "_derived", {name: getattr(self, name) for name in derived})
-        if self.target_fitness is not None:
-            object.__setattr__(self, "target_fitness", as_real("target_fitness", self.target_fitness))
-            if math.isnan(self.target_fitness):
-                raise ValueError("target_fitness must not be NaN")
+    def __post_init__(self):
+        for name, convert in (("n_particles", as_integer), ("max_iterations", as_integer),
+                              ("elimination_threshold", as_integer), ("seed", as_seed),
+                              ("initial_vorticity", as_real), ("max_vorticity", as_real),
+                              ("min_vorticity", as_real), ("pull_epsilon", as_real),
+                              ("target_fitness", as_real)):
+            value = getattr(self, name)
+            if value is None and name in ("min_vorticity", "elimination_threshold",
+                                          "target_fitness"):
+                continue
+            value = convert(name, value)
+            if convert is as_real and name != "target_fitness" and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
+        if self.target_fitness is not None and math.isnan(self.target_fitness):
+            raise ValueError("target_fitness must not be NaN")
         if self.n_particles < 2:
             raise ValueError(f"n_particles must be >= 2, got {self.n_particles}")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
-        if not (self.min_vorticity < 0.0 < self.max_vorticity):
-            raise ValueError(
-                "vorticity limits must straddle zero: "
-                f"got min={self.min_vorticity}, max={self.max_vorticity}"
-            )
-        if not 0 <= self.elimination_threshold <= self.n_particles:
-            raise ValueError(
-                "elimination_threshold must lie in [0, n_particles], got "
-                f"{self.elimination_threshold} with n_particles={self.n_particles}"
-            )
+        if not (self.v_min < 0.0 < self.max_vorticity):
+            raise ValueError("vorticity limits must straddle zero: "
+                             f"got min={self.v_min}, max={self.max_vorticity}")
+        if not 0 <= self.threshold <= self.n_particles:
+            raise ValueError("elimination_threshold must lie in [0, n_particles], got "
+                             f"{self.threshold} with n_particles={self.n_particles}")
         if not self.pull_epsilon > 0.0:
             raise ValueError(f"pull_epsilon must be > 0, got {self.pull_epsilon}")
+
+    @property
+    def v_min(self) -> float:
+        """The vorticity lower clamp: ``min_vorticity``, else ``-max_vorticity``."""
+        return -self.max_vorticity if self.min_vorticity is None else self.min_vorticity
+
+    @property
+    def threshold(self) -> int:
+        """The elimination threshold: ``elimination_threshold``, else ``n_particles``."""
+        threshold = self.elimination_threshold
+        return self.n_particles if threshold is None else threshold
+
+    def resolved(self) -> dict:
+        """``asdict`` with ``v_min`` and ``threshold`` under the two fields' names."""
+        return {**asdict(self), "min_vorticity": self.v_min,
+                "elimination_threshold": self.threshold}
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,7 @@ def initialize_swarm(config: VoaConfig, objective: Objective, rng: RandomSource)
     best_index = int(fitness.argmin())
     r = float(rng.uniform_unit_batch(1)[0])
     vorticity[best_index] = float(
-        vorticity_kick(vorticity[best_index], r, config.min_vorticity, config.max_vorticity)
+        vorticity_kick(vorticity[best_index], r, config.v_min, config.max_vorticity)
     )
     is_vortex = np.zeros(n, dtype=bool)
     is_vortex[best_index] = True
@@ -213,7 +213,7 @@ def eliminate_and_respawn(state: SwarmState, config: VoaConfig, objective: Objec
     changes. Returns whether the cull triggered.
     """
     count = state.n_particles - int(np.count_nonzero(state.is_vortex))
-    if count > config.elimination_threshold:
+    if count > config.threshold:
         return False
     if count:
         normal = (~state.is_vortex).nonzero()[0]
@@ -240,8 +240,7 @@ def advance_iteration(state: SwarmState, config: VoaConfig, objective: Objective
 
     # Vorticity pull toward the record, every particle including the holder.
     state.vorticity = vorticity_pull(state.vorticity, state.best_vorticity, draws[:n],
-                                     config.pull_epsilon, config.min_vorticity,
-                                     config.max_vorticity)
+                                     config.pull_epsilon, config.v_min, config.max_vorticity)
 
     # Decay for vortex particles other than the record holder.
     if k:
@@ -260,7 +259,7 @@ def advance_iteration(state: SwarmState, config: VoaConfig, objective: Objective
     state.positions[holder] = before[holder]
 
     # Marking left n - 1 - k normals; a cull takes them all, or one fewer if refresh marks one.
-    rows = n - 1 - k if n - 2 - k <= config.elimination_threshold else 0
+    rows = n - 1 - k if n - 2 - k <= config.threshold else 0
     candidates = objective.to_box(rng.peek(rows * d).reshape(rows, d))
     non_finite, candidate_fitness = refresh_fitness_and_best(state, objective, candidates)
     eliminated = eliminate_and_respawn(state, config, objective, rng, candidates,

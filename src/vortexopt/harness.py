@@ -144,9 +144,13 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
     ``dims``, when given, must not be empty and is shared out: each function
     runs the listed dimensions it supports. A function that supports none of
     them, or a listed dimension that no function supports, raises the
-    registry's ``check_dimension`` error. An empty ``out_dir`` or
-    ``trace_dir`` raises; None selects the default (no traces for the latter).
+    registry's ``check_dimension`` error. ``functions`` or ``dims`` given as
+    a string or a non-iterable raises, as does an empty ``out_dir`` or
+    ``trace_dir``; None selects the default (no traces for the latter).
     """
+    for name, value in (("functions", functions), ("dims", dims)):
+        if isinstance(value, (str, bytes)) or not isinstance(value, (Iterable, type(None))):
+            raise ValueError(f"{name} must be a list, got {value!r}")
     for name, path in (("out_dir", out_dir), ("trace_dir", trace_dir)):
         if path is not None and not str(path):
             raise ValueError(f"{name} must not be an empty path")
@@ -342,7 +346,7 @@ def write_reports(reports, summaries, plan: ExperimentPlan) -> dict:
         [name, *("NA" if m is None else _sci(m) for m in medians)] for name, medians in grid))
 
     payload = {
-        "config": asdict(plan.config),
+        "config": plan.config.resolved(),
         "seeds": list(plan.seeds),
         "rows": [asdict(s) for s in summaries],
     }

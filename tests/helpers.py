@@ -79,7 +79,7 @@ def run_with_invariant_checks(config: VoaConfig, objective):
 
     def vorticity_pull(*args):
         pulled = real["vorticity_pull"](*args)
-        assert np.all(pulled >= config.min_vorticity)
+        assert np.all(pulled >= config.v_min)
         assert np.all(pulled <= config.max_vorticity)
         return pulled
 
@@ -99,7 +99,7 @@ def run_with_invariant_checks(config: VoaConfig, objective):
         # The refresh marks at most one more vortex, so a cull can trigger only
         # with normals - 1 <= threshold, and it may then take every normal.
         normals = int(np.count_nonzero(~state.is_vortex))
-        rows = normals if normals - 1 <= config.elimination_threshold else 0
+        rows = normals if normals - 1 <= config.threshold else 0
         assert candidates.shape == (rows, d), "candidates for other than every normal particle"
         assert np.all(candidates >= lower) and np.all(candidates <= upper), "left the box"
         non_finite, candidate_fitness = real["refresh_fitness_and_best"](

@@ -126,7 +126,7 @@ def reference_run(config, objective):
     """
     n, d = config.n_particles, objective.dimension
     lower, upper = [float(b[0]) for b in objective.bounds], [float(b[1]) for b in objective.bounds]
-    v_min, v_max = config.min_vorticity, config.max_vorticity
+    v_min, v_max = config.v_min, config.max_vorticity
     stream = _Stream(config.seed)
 
     def box_points(count):
@@ -193,7 +193,7 @@ def reference_run(config, objective):
 
         # 6. Respawn every normal particle when few enough remain.
         normal = [i for i in range(n) if not vortex[i]]
-        culled = len(normal) <= config.elimination_threshold
+        culled = len(normal) <= config.threshold
         if culled and normal:
             fresh = box_points(len(normal))
             fresh_fit, _ = evaluate(fresh)

@@ -62,7 +62,7 @@ class TestParsePlan:
         assert plan.config.max_iterations == 5000
         assert plan.config.initial_vorticity == 0.5
         assert plan.config.max_vorticity == 7.0
-        assert plan.config.elimination_threshold == 50
+        assert plan.config.threshold == 50
         assert jobs is None
 
     def test_single_cell_flags(self):
@@ -105,8 +105,8 @@ class TestParsePlan:
         assert config.max_iterations == 100
         assert config.initial_vorticity == 0.25
         assert config.max_vorticity == 3.0
-        assert config.min_vorticity == -3.0
-        assert config.elimination_threshold == 4
+        assert config.v_min == -3.0
+        assert config.threshold == 4
         assert plan.seeds == (50, 51)
         assert jobs == 2
 
@@ -114,7 +114,7 @@ class TestParsePlan:
     @pytest.mark.parametrize("particles", [30, 80])
     def test_particles_alone_set_the_elimination_threshold(self, particles, capsys):
         plan, _ = parse_plan(["--particles", str(particles)])
-        assert plan.config.elimination_threshold == plan.config.n_particles == particles
+        assert plan.config.threshold == plan.config.n_particles == particles
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--help"])
         assert "(default: the population size)" in " ".join(capsys.readouterr().out.split())
@@ -328,6 +328,20 @@ class TestMain:
         sphere = next(row for row in rows if row.startswith("sphere,")).split(",")
         assert sphere[1:6] == ["NA"] * 5 and sphere[6] != "NA"
 
+    @pytest.mark.parametrize("argv", [
+        ["--function", "rosenbrock", "--dim", "5", "--dim", "10", "--seeds", "1",
+         "--iterations", "1"],
+        ["--function", "mccormick", "--function", "sphere", "--dim", "2", "--seeds", "2",
+         "--iterations", "50"],
+    ])
+    def test_run_grid_prints_the_cells_of_summary_csv(self, tmp_path, capsys, argv):
+        out = tmp_path / "res"
+        assert main(["run", *argv, "--jobs", "1", "--out", str(out)]) == 0
+        table = capsys.readouterr().out.splitlines()[1:]
+        header, *rows = (out / "summary.csv").read_text().splitlines()
+        assert len(table[0].split()) == len(header.split(","))
+        for line, row in zip(table[1:], rows):
+            assert line.split() == row.split(","), line
     def test_check_requires_existing_results(self, tmp_path, capsys):
         code = main(["check", "--out", str(tmp_path / "missing")])
         assert code == 2

@@ -2,7 +2,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import rowwise
@@ -185,6 +185,21 @@ class TestIntegerChecks:
             assert type(as_real("x", value)) is float and as_real("x", value) == 2.0
 
 
+# Settable VoaConfig fields, each given or omitted; a threshold above the
+# population size is invalid, so some drawn dicts do not build a config.
+_GIVEN = st.fixed_dictionaries({}, optional={
+    "n_particles": st.integers(2, 100),
+    "max_iterations": st.integers(0, 10),
+    "initial_vorticity": st.floats(-9.0, 9.0),
+    "max_vorticity": st.floats(0.25, 9.0),
+    "min_vorticity": st.floats(-9.0, -0.25),
+    "elimination_threshold": st.integers(0, 60),
+    "seed": st.integers(0, 2**64 - 1),
+    "pull_epsilon": st.floats(1e-12, 1.0),
+    "target_fitness": st.floats(allow_nan=False),
+})
+
+
 class TestVoaConfig:
     def test_defaults(self):
         config = VoaConfig()
@@ -192,28 +207,50 @@ class TestVoaConfig:
         assert config.max_iterations == 5000
         assert config.initial_vorticity == 0.5
         assert config.max_vorticity == 7.0
-        assert config.min_vorticity == -7.0
-        assert config.elimination_threshold == 50
+        assert config.min_vorticity is None and config.v_min == -7.0
+        assert config.elimination_threshold is None and config.threshold == 50
 
     def test_min_vorticity_defaults_to_negated_max(self):
-        assert VoaConfig(max_vorticity=3.0).min_vorticity == -3.0
+        config = VoaConfig(max_vorticity=3.0)
+        assert config.min_vorticity is None and config.v_min == -3.0
 
     @pytest.mark.parametrize("n", [2, 30, 50, 80])
     def test_elimination_threshold_defaults_to_population_size(self, n):
-        assert VoaConfig(n_particles=n).elimination_threshold == n
-        assert VoaConfig(n_particles=n, elimination_threshold=1).elimination_threshold == 1
+        config = VoaConfig(n_particles=n)
+        assert config.elimination_threshold is None and config.threshold == n
+        config = VoaConfig(n_particles=n, elimination_threshold=1)
+        assert config.elimination_threshold == config.threshold == 1
 
     def test_min_vorticity_overridable(self):
-        assert VoaConfig(max_vorticity=3.0, min_vorticity=-1.0).min_vorticity == -1.0
+        config = VoaConfig(max_vorticity=3.0, min_vorticity=-1.0)
+        assert config.min_vorticity == config.v_min == -1.0
+
+    def test_equality_compares_the_given_fields(self):
+        assert VoaConfig(elimination_threshold=50) != VoaConfig()
+        assert VoaConfig(min_vorticity=-7.0) != VoaConfig()
+        assert VoaConfig(elimination_threshold=50, min_vorticity=-7.0).resolved() == \
+            VoaConfig().resolved()
+
+    def test_resolved_is_asdict_with_the_derived_values(self):
+        config = VoaConfig(n_particles=30, max_vorticity=3.0)
+        resolved = config.resolved()
+        assert list(resolved) == list(asdict(config))
+        assert resolved == {**asdict(config), "min_vorticity": -3.0, "elimination_threshold": 30}
+        given = VoaConfig(n_particles=30, min_vorticity=-1.0, elimination_threshold=4)
+        assert given.resolved() == asdict(given)
 
     def test_replace_derives_a_smaller_threshold_again(self):
-        assert replace(VoaConfig(), n_particles=30) == VoaConfig(n_particles=30)
+        config = replace(VoaConfig(), n_particles=30)
+        assert config == VoaConfig(n_particles=30)
+        assert config.elimination_threshold is None and config.threshold == 30
 
     def test_replace_derives_a_larger_threshold_again(self):
-        assert replace(VoaConfig(), n_particles=80).elimination_threshold == 80
+        config = replace(VoaConfig(), n_particles=80)
+        assert config.elimination_threshold is None and config.threshold == 80
 
     def test_replace_derives_min_vorticity_again(self):
-        assert replace(VoaConfig(), max_vorticity=3.0).min_vorticity == -3.0
+        config = replace(VoaConfig(), max_vorticity=3.0)
+        assert config.min_vorticity is None and config.v_min == -3.0
 
     def test_replace_keeps_given_values(self):
         config = VoaConfig(elimination_threshold=10, min_vorticity=-2.0)
@@ -224,6 +261,32 @@ class TestVoaConfig:
             n_particles=30, max_vorticity=3.0, elimination_threshold=20, min_vorticity=-1.0)
         assert replace(replace(VoaConfig(), n_particles=30), n_particles=40) == VoaConfig(
             n_particles=40)
+
+    @settings(max_examples=100)
+    @given(a=_GIVEN, b=_GIVEN)
+    @example(a={}, b={"n_particles": 100, "elimination_threshold": 50})
+    @example(a={"max_vorticity": 3.0}, b={"max_vorticity": 7.0, "min_vorticity": -3.0})
+    @example(a={}, b={"n_particles": 30})
+    @example(a={}, b={"n_particles": 80})
+    @example(a={}, b={"max_vorticity": 3.0})
+    def test_replace_is_construction_from_the_merged_values(self, a, b):
+        try:
+            source = VoaConfig(**a)
+        except ValueError:
+            assume(False)
+        merged = {**a, **b}
+        try:
+            expected = VoaConfig(**merged)
+        except ValueError:
+            with pytest.raises(ValueError):
+                replace(source, **b)
+            return
+        replaced = replace(source, **b)
+        assert replaced == expected
+        assert replaced.resolved() == expected.resolved()
+        assert replaced.threshold == merged.get("elimination_threshold",
+                                                merged.get("n_particles", 50))
+        assert replaced.v_min == merged.get("min_vorticity", -merged.get("max_vorticity", 7.0))
 
     @pytest.mark.parametrize("kwargs", [
         {"n_particles": 1},
@@ -276,11 +339,14 @@ class TestVoaConfig:
     def test_real_fields_stored_as_float(self):
         config = VoaConfig(initial_vorticity=1, max_vorticity=np.int64(3),
                            pull_epsilon=np.float32(0.5), target_fitness=0)
-        assert (config.initial_vorticity, config.max_vorticity, config.min_vorticity,
+        assert config.min_vorticity is None
+        assert (config.initial_vorticity, config.max_vorticity, config.v_min,
                 config.pull_epsilon, config.target_fitness) == (1.0, 3.0, -3.0, 0.5, 0.0)
-        for name in ("initial_vorticity", "max_vorticity", "min_vorticity", "pull_epsilon",
+        for name in ("initial_vorticity", "max_vorticity", "v_min", "pull_epsilon",
                      "target_fitness"):
             assert type(getattr(config, name)) is float, name
+        given = VoaConfig(min_vorticity=np.int64(-2))
+        assert type(given.min_vorticity) is float and given.min_vorticity == given.v_min == -2.0
         assert VoaConfig(target_fitness=float("-inf")).target_fitness == float("-inf")
 
     def test_per_coordinate_draws_is_a_fixed_field(self):

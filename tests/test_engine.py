@@ -370,7 +370,7 @@ class TestIterationContract:
                                   evaluate=lambda X: np.zeros(X.shape[:-1]))
         else:
             objective = get_objective(name, dimension)
-        n, threshold = config.n_particles, config.elimination_threshold
+        n, threshold = config.n_particles, config.threshold
         vortices, respawned, hit = [], [], set()
         real_mark, real_eliminate = engine.mark_vortices, engine.eliminate_and_respawn
 

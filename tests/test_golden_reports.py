@@ -28,7 +28,8 @@ GOLDEN = {
     "summary.csv": "01380facc4455bb8b1182bef57118327a975dcea4083f5440800d91c85ce2337",
     "summary.json": "c736c9537887f638c95f621e24f745ff28c02bbdbcd3d4bc5f2781c720c27599",
     "trace": "cd266f7a8d4ba9b7aad187a3cf7f3b0dfa10ee1008f3f121ad3bc3c7c6d99bee",
-    "run_stdout": "4dd4045ff2ea702da76e1392d296eff842c75d6bebef2a976b7704cf7032b7f4",
+    # Recorded when the summary grid took summary.csv's number format.
+    "run_stdout": "5b6e043dfa025dbad3d2104aa3c1707f91740f0447c1cce3d69f87a8573f4a43",
     "check_stdout": "46c156ec3d8cd7acedacfe411ade58eae312f0d38e6b54b63d94da43e844d153",
     # Recorded when the trace CSV took RunTrace's field names and gained
     # non_finite_evals; its legacy view is still pinned by "trace" above.

@@ -116,6 +116,17 @@ class TestMakePlan:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             make_plan(out_dir=tmp_path, **kwargs)
 
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"functions": "booth"}, "functions"),
+        ({"functions": b"booth"}, "functions"),
+        ({"functions": 7}, "functions"),
+        ({"dims": 2}, "dims"),
+        ({"dims": "2"}, "dims"),
+    ])
+    def test_string_or_non_iterable_plan_lists_rejected(self, tmp_path, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a list, got "):
+            make_plan(out_dir=tmp_path, **kwargs)
+
     @pytest.mark.parametrize("base,count", [(-1, 1), (2**64, 1), (2**64 - 1, 3), (2**64 - 2, 3)])
     def test_seeds_beyond_64_bits_rejected_when_planned(self, tmp_path, base, count):
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64 - 1\]"):
