@@ -210,7 +210,7 @@ def benchmark_names() -> list:
 
 
 def get_spec(name: str) -> BenchmarkSpec:
-    spec = REGISTRY.get(name)
+    spec = REGISTRY.get(name) if isinstance(name, str) else None
     if spec is None:
         raise ValueError(
             f"unknown benchmark {name!r}; known: {', '.join(benchmark_names())}"

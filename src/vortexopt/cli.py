@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .benchmarks import REGISTRY, benchmark_names
-from .core import VoaConfig, as_seed
+from .core import VoaConfig, as_distinct, as_seed
 from .harness import (
     DEFAULT_BASE_SEED,
     DEFAULT_OUT_DIR,
@@ -201,17 +201,14 @@ def _cmd_check(ns) -> int:
         summary = json.loads(summary_path.read_text(encoding="utf-8")) if summary_path.exists() else {}
     except ValueError as exc:  # also a file that is not UTF-8
         raise ValueError(f"{summary_path} is not valid JSON: {exc}") from None
-    config = summary.get("config") if isinstance(summary, dict) else None
-    if isinstance(config, dict):
-        differing = [f"{name}={config.get(name)}" for name, value in _DEFAULT.resolved().items()
-                     if name != "seed" and config.get(name) != value]
-        if differing:
-            print(f"warning: the results were run with {', '.join(differing)}; the reference "
-                  "table is for the default configuration", file=sys.stderr)
-    planned = summary.get("seeds", []) if isinstance(summary, dict) else []
-    if not isinstance(planned, list):
-        raise ValueError(f"{summary_path}: seeds must be a list, got {planned!r}")
-    planned = [as_seed(f"{summary_path}: seeds[{i}]", s) for i, s in enumerate(planned)]
+    summary = summary if isinstance(summary, dict) else {}
+    config = summary.get("config")
+    # The table holds results at the default configuration, seed aside.
+    differing = [] if not isinstance(config, dict) else [
+        f"{name}={config.get(name)}" for name, value in _DEFAULT.resolved().items()
+        if name != "seed" and config.get(name) != value]
+    planned = as_distinct(f"{summary_path}: seeds", summary["seeds"], as_seed) \
+        if "seeds" in summary else ()
     verdicts = []
     for function, dimension in cells:
         res, seeds = results.get((function, dimension)), runs[function, dimension]
@@ -222,8 +219,9 @@ def _cmd_check(ns) -> int:
         # A median over the surviving seeds is not the table's statistic.
         failed = [s for s, ok in seeds.items() if not ok]
         missing = [s for s in planned if s not in seeds]
-        note = "".join(f"; {kind} seeds {', '.join(map(str, lost))}"
-                       for kind, lost in (("failed", failed), ("missing", missing)) if lost)
+        note = "".join(f"; {kind} {', '.join(map(str, items))}" for kind, items in (
+            ("failed seeds", failed), ("missing seeds", missing),
+            ("non-default config", differing)) if items)
         verdicts.append(res.passed and not note)
         print(f"{'PASS' if verdicts[-1] else 'FAIL'} {function} d={dimension} "
               f"median={res.median:.6e} reference={res.reference_value:.4f} "

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "as_integer",
     "as_real",
     "as_seed",
+    "as_distinct",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -54,6 +55,21 @@ def as_seed(name: str, value) -> int:
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"{name} must lie in [0, 2**64 - 1], got {seed}")
     return seed
+
+
+def as_distinct(name: str, values, convert) -> tuple:
+    """``values`` as a tuple of ``convert(f"{name}[i]", item)`` per item; ValueError naming
+    ``name`` unless it is a non-empty list (not a string or a 0-d array, which is Iterable
+    but cannot be iterated) with no converted item repeated."""
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable) \
+            or getattr(values, "ndim", None) == 0:
+        raise ValueError(f"{name} must be a list, got {values!r}")
+    items = tuple(convert(f"{name}[{i}]", value) for i, value in enumerate(values))
+    if not items:
+        raise ValueError(f"{name} must not be empty")
+    if len(set(items)) != len(items):
+        raise ValueError(f"{name} must be pairwise distinct")
+    return items
 
 
 class RandomSource:

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .benchmarks import benchmark_names, get_objective, get_spec
-from .core import VoaConfig, as_integer, as_seed
+from .core import VoaConfig, as_distinct, as_integer, as_seed
 from .engine import RunReport, RunTrace, run
 
 __all__ = [
@@ -96,10 +96,10 @@ GRID_DIMENSIONS = tuple(dict.fromkeys(d for _, d in REFERENCE_RESULTS))
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A validated grid of runs plus the configuration they share.
-
-    ``dimensions`` maps each selected function, in plan order, to its
-    dimensions.
+    """A grid of runs plus the configuration they share, checked and normalized however
+    it is built (directly, by ``make_plan`` or by ``replace``): a bad field raises ValueError
+    naming it. ``as_distinct`` reads ``seeds`` and each function's dimensions (``dimensions``
+    is in plan order) into tuples of ``int``; ``out_dir`` and ``trace_dir`` become ``Path``s.
     """
 
     dimensions: dict
@@ -109,22 +109,21 @@ class ExperimentPlan:
     trace_dir: Optional[Path] = None
 
     def __post_init__(self):
-        if not self.dimensions:
-            raise ValueError("plan selects no benchmark functions")
-        if not self.seeds:
-            raise ValueError("plan needs at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be pairwise distinct")
-        for seed in self.seeds:
-            as_seed("seed", seed)
-        for name, dims in self.dimensions.items():
-            spec = get_spec(name)
-            if not dims:
-                raise ValueError(f"no dimensions selected for {name!r}")
-            for d in dims:
-                spec.check_dimension(d)
-            if len(set(dims)) != len(dims):
-                raise ValueError(f"dimensions of {name!r} must be pairwise distinct")
+        if not isinstance(self.dimensions, dict) or not self.dimensions:
+            raise ValueError("plan selects no benchmark functions: dimensions must be a "
+                             f"non-empty dict, got {self.dimensions!r}")
+        if not isinstance(self.config, VoaConfig):
+            raise ValueError(f"config must be a VoaConfig, got {self.config!r}")
+        object.__setattr__(self, "seeds", as_distinct("seeds", self.seeds, as_seed))
+        object.__setattr__(self, "dimensions", {
+            name: as_distinct(f"dimensions of {name!r}", dims,
+                              lambda _, d: get_spec(name).check_dimension(d))
+            for name, dims in self.dimensions.items()})
+        for name, path in (("out_dir", self.out_dir), ("trace_dir", self.trace_dir)):
+            if path is not None or name == "out_dir":
+                if not isinstance(path, (str, os.PathLike)) or not os.fspath(path):
+                    raise ValueError(f"{name} must be a non-empty path, got {path!r}")
+                object.__setattr__(self, name, Path(path))
 
     def cells(self) -> list:
         return [(f, d) for f, dims in self.dimensions.items() for d in dims]
@@ -141,39 +140,26 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
     With no arguments this is the full reporting grid: every registry function
     at its ``REFERENCE_RESULTS`` cells in table order, 20 consecutive seeds
     starting at 1, standard configuration, reports in ``DEFAULT_OUT_DIR``.
-    ``dims``, when given, must not be empty and is shared out: each function
-    runs the listed dimensions it supports. A function that supports none of
-    them, or a listed dimension that no function supports, raises the
-    registry's ``check_dimension`` error. ``functions`` or ``dims`` given as
-    a string or a non-iterable raises, as does an empty ``out_dir`` or
-    ``trace_dir``; None selects the default (no traces for the latter).
+    ``functions`` and ``dims`` are read by ``as_distinct``; ``dims`` is shared out:
+    each function runs the listed dimensions it supports. A function that supports
+    none of them, or a listed dimension that none supports, raises the registry's
+    ``check_dimension`` error. ``ExperimentPlan`` checks the rest.
     """
-    for name, value in (("functions", functions), ("dims", dims)):
-        if isinstance(value, (str, bytes)) or not isinstance(value, (Iterable, type(None))):
-            raise ValueError(f"{name} must be a list, got {value!r}")
-    for name, path in (("out_dir", out_dir), ("trace_dir", trace_dir)):
-        if path is not None and not str(path):
-            raise ValueError(f"{name} must not be an empty path")
-    specs = [get_spec(name) for name in (benchmark_names() if functions is None else functions)]
-    if len({spec.name for spec in specs}) != len(specs):
-        raise ValueError("functions must be pairwise distinct")
+    specs = as_distinct("functions", benchmark_names() if functions is None else functions,
+                        lambda _, name: get_spec(name))
     if dims is not None:
-        dims = [as_integer("dimension", d) for d in dims]
-        if not dims:
-            raise ValueError("dims must list at least one dimension (None selects each grid)")
+        dims = as_distinct("dims", dims, as_integer)
         dimensions = {s.name: tuple(d for d in dims if s.supports(d)) for s in specs}
         for spec in specs:
             if not dimensions[spec.name]:
                 spec.check_dimension(dims[0])
         for d in dims:
-            if specs and not any(spec.supports(d) for spec in specs):
+            if not any(spec.supports(d) for spec in specs):
                 specs[0].check_dimension(d)
     else:
         dimensions = {s.name: tuple(d for f, d in REFERENCE_RESULTS if f == s.name) for s in specs}
-    base = as_seed("base_seed", DEFAULT_BASE_SEED if base_seed is None else base_seed)
+    base = as_integer("base_seed", DEFAULT_BASE_SEED if base_seed is None else base_seed)
     count = as_integer("seed_count", DEFAULT_SEED_COUNT if seed_count is None else seed_count)
-    if count < 1:
-        raise ValueError(f"seed count must be >= 1, got {count}")
     overrides = config_overrides or {}
     if "seed" in overrides:
         raise ValueError("config_overrides cannot set the seed; use base_seed and seed_count")
@@ -185,8 +171,8 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
         dimensions=dimensions,
         seeds=tuple(range(base, base + count)),
         config=VoaConfig(**overrides),
-        out_dir=Path(DEFAULT_OUT_DIR if out_dir is None else out_dir),
-        trace_dir=None if trace_dir is None else Path(trace_dir),
+        out_dir=DEFAULT_OUT_DIR if out_dir is None else out_dir,
+        trace_dir=trace_dir,
     )
 
 

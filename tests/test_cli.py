@@ -312,7 +312,7 @@ class TestMain:
                      "--iterations", "5", "--jobs", "1", *(a for kv in paths.items() for a in kv)])
         assert code == 2
         (err,) = capsys.readouterr().err.splitlines()
-        assert err == f"error: {field} must not be an empty path"
+        assert err == f"error: {field} must be a non-empty path, got ''"
         assert list(tmp_path.iterdir()) == []
 
     def test_run_gives_a_dimension_outside_the_grid_its_own_column(self, tmp_path, capsys):
@@ -413,7 +413,8 @@ class TestMain:
     @pytest.mark.parametrize("seeds,named", [("1", "seeds must be a list, got '1'"),
                                              ([1, 2.0], "seeds[1] must be an integer"),
                                              ([True], "seeds[0] must be an integer"),
-                                             ([-1], "seeds[0] must lie in")])
+                                             ([-1], "seeds[0] must lie in"),
+                                             ([1, 1], "seeds must be pairwise distinct")])
     def test_check_names_bad_planned_seeds(self, tmp_path, capsys, seeds, named):
         out = tmp_path / "res"
         self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (1, 2)])
@@ -434,23 +435,21 @@ class TestMain:
                        "(first on line 2)")
         assert captured.out == ""
 
-    def test_check_warns_when_the_results_used_another_config(self, tmp_path, capsys):
+    def test_check_fails_cells_run_with_another_config(self, tmp_path, capsys):
         out = tmp_path / "res"
         assert main(["run", "--function", "sphere", "--dim", "2", "--seeds", "2",
                      "--iterations", "50", "--jobs", "1", "--out", str(out)]) == 0
         capsys.readouterr()
-        code = main(["check", "--out", str(out)])
-        warned = capsys.readouterr()
-        (err,) = warned.err.splitlines()
-        assert err.startswith("warning: ")
-        assert "max_iterations=50" in err
-        assert "seed" not in err
-        # The warning changes neither stdout nor the exit code.
+        assert main(["check", "--out", str(out)]) == 1
+        gated = capsys.readouterr()
+        (line,) = gated.out.splitlines()
+        assert line.startswith("FAIL sphere d=2 ")
+        assert line.endswith("; non-default config max_iterations=50")
+        assert gated.err == ""
+        # Without summary.json the config is unknown, and the cell passes on its median.
         (out / "summary.json").unlink()
-        assert main(["check", "--out", str(out)]) == code == 0
-        silent = capsys.readouterr()
-        assert silent.out == warned.out
-        assert silent.err == ""
+        assert main(["check", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == line.replace("FAIL", "PASS", 1).split(";")[0] + "\n"
 
     def test_check_silent_for_the_default_config(self, tmp_path, capsys):
         out = tmp_path / "res"

@@ -30,7 +30,8 @@ GOLDEN = {
     "trace": "cd266f7a8d4ba9b7aad187a3cf7f3b0dfa10ee1008f3f121ad3bc3c7c6d99bee",
     # Recorded when the summary grid took summary.csv's number format.
     "run_stdout": "5b6e043dfa025dbad3d2104aa3c1707f91740f0447c1cce3d69f87a8573f4a43",
-    "check_stdout": "46c156ec3d8cd7acedacfe411ade58eae312f0d38e6b54b63d94da43e844d153",
+    # Recorded when check began failing cells run with a non-default config.
+    "check_stdout": "98058b332d74881ea8c7cb4171aefc012506ff6d7c0bef25a7e6e766d57f7747",
     # Recorded when the trace CSV took RunTrace's field names and gained
     # non_finite_evals; its legacy view is still pinned by "trace" above.
     "trace_full": "1b9148bd41d1afcc6466b697be0178668be8ec853bd07e728c1fc26d81ba7716",
@@ -59,7 +60,8 @@ def outputs(tmp_path_factory):
     stdout = {}
     for name, argv, code in (
         ("run_stdout", ["run", *RUN_ARGS, "--out", str(out), "--trace-dir", str(traces)], 0),
-        ("check_stdout", ["check", "--out", str(out)], 0),
+        # 50 iterations is not the table's configuration, so every cell fails.
+        ("check_stdout", ["check", "--out", str(out)], 1),
     ):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):

@@ -4,6 +4,7 @@ import functools
 import io
 import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,9 +128,11 @@ class TestMakePlan:
         with pytest.raises(ValueError, match=f"^{field} must be a list, got "):
             make_plan(out_dir=tmp_path, **kwargs)
 
+    # The base seed is named as base_seed, a later one by its place in seeds.
     @pytest.mark.parametrize("base,count", [(-1, 1), (2**64, 1), (2**64 - 1, 3), (2**64 - 2, 3)])
     def test_seeds_beyond_64_bits_rejected_when_planned(self, tmp_path, base, count):
-        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64 - 1\]"):
+        with pytest.raises(ValueError, match=r"^(base_seed|seeds\[\d\]) must lie in "
+                                             r"\[0, 2\*\*64 - 1\]"):
             make_plan(base_seed=base, seed_count=count, out_dir=tmp_path)
 
     def test_last_64_bit_seed_accepted(self, tmp_path):
@@ -142,13 +145,13 @@ class TestMakePlan:
         assert all(type(seed) is int for seed in plan.seeds)
 
     def test_plan_built_directly_checks_its_seeds(self, tmp_path):
-        with pytest.raises(ValueError, match="seed must be an integer"):
+        with pytest.raises(ValueError, match=r"^seeds\[1\] must be an integer"):
             ExperimentPlan(dimensions={"booth": (2,)},
                            seeds=(1, 2.5), config=VoaConfig(), out_dir=tmp_path)
 
     @pytest.mark.parametrize("dims", [[2.0], [2, 5.0], [True], ["2"]])
     def test_non_integer_dimensions_rejected(self, tmp_path, dims):
-        with pytest.raises(ValueError, match="^dimension must be an integer"):
+        with pytest.raises(ValueError, match=r"^dims\[\d\] must be an integer"):
             make_plan(functions=["booth", "sphere"], dims=dims, out_dir=tmp_path)
 
     def test_plan_built_directly_checks_its_dimensions(self, tmp_path):
@@ -166,12 +169,17 @@ class TestMakePlan:
             make_plan(functions=["sphere", "sphere"], dims=[2], out_dir=tmp_path)
 
     def test_duplicate_dimensions_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="dimensions of 'sphere' must be pairwise distinct"):
+        with pytest.raises(ValueError, match="^dims must be pairwise distinct"):
             make_plan(functions=["sphere"], dims=[2, 2], out_dir=tmp_path)
+        with pytest.raises(ValueError, match="dimensions of 'sphere' must be pairwise distinct"):
+            ExperimentPlan(dimensions={"sphere": (2, 2)},
+                           seeds=(1,), config=VoaConfig(), out_dir=tmp_path)
 
     def test_unknown_function_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown"):
             make_plan(functions=["nope"], out_dir=tmp_path)
+        with pytest.raises(ValueError, match=r"^unknown benchmark \['booth'\]"):
+            make_plan(functions=[["booth"]], out_dir=tmp_path)
 
     def test_duplicate_seeds_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="distinct"):
@@ -187,7 +195,7 @@ class TestMakePlan:
         assert plan.n_runs == 3
 
     def test_empty_dims_rejected_rather_than_read_as_the_grid(self, tmp_path):
-        with pytest.raises(ValueError, match="^dims must list at least one dimension"):
+        with pytest.raises(ValueError, match="^dims must not be empty"):
             make_plan(functions=["sphere"], dims=[], out_dir=tmp_path)
 
     def test_plan_without_functions_rejected(self, tmp_path):
@@ -199,6 +207,70 @@ class TestMakePlan:
                                            "elimination_threshold": 8}, out_dir=tmp_path)
         assert plan.config.max_iterations == 10
         assert plan.config.n_particles == 8
+
+
+# Hostile values for one ExperimentPlan field: scalars of every kind, then
+# lists, lists of pairs and dicts of them, nested; plus plausible dimension
+# maps and seed lists, so that the accepting path is drawn too.
+_ATOMS = st.one_of(
+    st.integers(-2, 40), st.just(2**64), st.floats(), st.booleans(), st.none(),
+    st.text(max_size=3), st.binary(max_size=3), st.text(min_size=1, max_size=3).map(Path),
+    st.integers(0, 40).map(np.int64), st.sampled_from(benchmark_names()))
+_INTEGERS = st.integers(-1, 6) | st.integers(0, 6).map(np.uint8)
+_PLAN_VALUES = st.one_of(
+    st.recursive(_ATOMS, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.lists(st.tuples(inner, inner), max_size=3),
+        st.dictionaries(_ATOMS, inner, max_size=3)), max_leaves=6),
+    st.dictionaries(st.sampled_from(benchmark_names()), st.lists(_INTEGERS, max_size=3),
+                    max_size=3),
+    st.lists(_INTEGERS | st.just(2**64), max_size=3))
+# The words that name each field. The registry's own errors about a
+# dimensions entry name the unknown benchmark or the unsupported dimension.
+_NAMED_BY = {"dimensions": ("dimension", "unknown benchmark")}
+
+
+class TestPlanBoundary:
+    @settings(max_examples=120, deadline=None)
+    @given(field=st.sampled_from([f.name for f in dataclasses.fields(ExperimentPlan)]),
+           value=_PLAN_VALUES)
+    @example(field="dimensions", value={"booth": 2})
+    @example(field="seeds", value=1)
+    @example(field="seeds", value="12")
+    @example(field="seeds", value=np.array(5))
+    @example(field="dimensions", value=[("booth", (2,))])
+    @example(field="out_dir", value="")
+    @example(field="trace_dir", value="")
+    @example(field="config", value={"max_iterations": 1})
+    @example(field="seeds", value=[np.int64(1), 2])
+    @example(field="dimensions", value={"booth": [np.int64(2)], "sphere": [2, np.uint8(5)]})
+    @example(field="out_dir", value="results")
+    def test_every_field_is_checked_and_normalized_however_built(self, field, value):
+        valid = dict(dimensions={"sphere": (2,)}, seeds=(1,), config=VoaConfig(),
+                     out_dir=Path("x"))
+        for build in (lambda: ExperimentPlan(**{**valid, field: value}),
+                      lambda: dataclasses.replace(ExperimentPlan(**valid), **{field: value})):
+            try:
+                plan = build()
+            except ValueError as exc:
+                assert any(word in str(exc) for word in _NAMED_BY.get(field, (field,))), exc
+                continue
+            assert type(plan.dimensions) is dict and plan.dimensions
+            for name, dims in plan.dimensions.items():
+                assert type(name) is str and type(dims) is tuple and dims
+                assert all(type(d) is int for d in dims)
+            assert type(plan.seeds) is tuple and plan.seeds
+            assert all(type(s) is int for s in plan.seeds)
+            assert isinstance(plan.config, VoaConfig) and isinstance(plan.out_dir, Path)
+            assert plan.trace_dir is None or isinstance(plan.trace_dir, Path)
+            assert dataclasses.replace(plan) == plan
+
+    def test_a_plan_keeps_its_order_and_converts_its_values(self):
+        plan = ExperimentPlan(dimensions={"sphere": [np.int64(5), 2], "booth": [2]},
+                              seeds=[np.uint8(3), 1], config=VoaConfig(), out_dir="res",
+                              trace_dir="traces")
+        assert plan.dimensions == {"sphere": (5, 2), "booth": (2,)}
+        assert plan.seeds == (3, 1)
+        assert (plan.out_dir, plan.trace_dir) == (Path("res"), Path("traces"))
 
 
 class TestExecutePlan:
