@@ -35,10 +35,13 @@ _UNIT_SCALE = 1.0 / (1 << 53)
 _BLOCK_DRAWS = 16384
 
 
-def as_integer(name: str, value) -> int:
-    """``value`` as an ``int``; a bool or a non-integer raises ValueError naming ``name``."""
+def as_integer(name: str, value, minimum=None) -> int:
+    """``value`` as an ``int``; a bool, a non-integer or a value below ``minimum`` (when
+    given) raises ValueError naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
 
@@ -176,7 +179,8 @@ class VoaConfig:
     target_fitness: Optional[float] = None
 
     def __post_init__(self):
-        for name, convert in (("n_particles", as_integer), ("max_iterations", as_integer),
+        for name, convert in (("n_particles", lambda n, v: as_integer(n, v, minimum=2)),
+                              ("max_iterations", lambda n, v: as_integer(n, v, minimum=0)),
                               ("elimination_threshold", as_integer), ("seed", as_seed),
                               ("initial_vorticity", as_real), ("max_vorticity", as_real),
                               ("min_vorticity", as_real), ("pull_epsilon", as_real),
@@ -191,10 +195,6 @@ class VoaConfig:
             object.__setattr__(self, name, value)
         if self.target_fitness is not None and math.isnan(self.target_fitness):
             raise ValueError("target_fitness must not be NaN")
-        if self.n_particles < 2:
-            raise ValueError(f"n_particles must be >= 2, got {self.n_particles}")
-        if self.max_iterations < 0:
-            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
         if not (self.v_min < 0.0 < self.max_vorticity):
             raise ValueError("vorticity limits must straddle zero: "
                              f"got min={self.v_min}, max={self.max_vorticity}")
@@ -243,10 +243,15 @@ class Objective:
         if not callable(self.evaluate):
             raise ValueError(f"objective {self.name!r}: evaluate must be callable, "
                              f"got {self.evaluate!r}")
+        try:  # a non-iterable, or an item that is not a pair, holds no pairs
+            pairs = [(lo, hi) for lo, hi in self.bounds]
+        except (TypeError, ValueError):
+            pairs = []
+        if not pairs:
+            raise ValueError(f"bounds must hold one or more (lower, upper) pairs, got "
+                             f"{self.bounds!r}")
         bounds = tuple((as_real(f"bounds[{i}]", lo), as_real(f"bounds[{i}]", hi))
-                       for i, (lo, hi) in enumerate(self.bounds))
-        if not bounds:
-            raise ValueError("bounds must hold at least one (lower, upper) pair")
+                       for i, (lo, hi) in enumerate(pairs))
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "dimension", len(bounds))
         for i, (lo, hi) in enumerate(bounds):

@@ -215,12 +215,11 @@ def eliminate_and_respawn(state: SwarmState, config: VoaConfig, objective: Objec
     count = state.n_particles - int(np.count_nonzero(state.is_vortex))
     if count > config.threshold:
         return False
-    if count:
-        normal = (~state.is_vortex).nonzero()[0]
-        rng.uniform_unit_batch(count * objective.dimension)
-        state.positions[normal] = candidates[:count]
-        state.vorticity[normal] = config.initial_vorticity
-        state.fitness[normal] = candidate_fitness[:count]
+    normal = (~state.is_vortex).nonzero()[0]
+    rng.uniform_unit_batch(count * objective.dimension)
+    state.positions[normal] = candidates[:count]
+    state.vorticity[normal] = config.initial_vorticity
+    state.fitness[normal] = candidate_fitness[:count]
     return True
 
 
@@ -243,11 +242,9 @@ def advance_iteration(state: SwarmState, config: VoaConfig, objective: Objective
                                      config.pull_epsilon, config.v_min, config.max_vorticity)
 
     # Decay for vortex particles other than the record holder.
-    if k:
-        decaying = state.is_vortex.copy()
-        decaying[holder] = False
-        state.vorticity[decaying] = vorticity_decay(state.vorticity[decaying],
-                                                    draws[n:n + k])
+    decaying = state.is_vortex.copy()
+    decaying[holder] = False
+    state.vorticity[decaying] = vorticity_decay(state.vorticity[decaying], draws[n:n + k])
 
     # Move the whole swarm toward the holder's row with a zero draw there, then restore that row.
     r = draws[n + k:]

@@ -17,7 +17,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -98,27 +99,27 @@ GRID_DIMENSIONS = tuple(dict.fromkeys(d for _, d in REFERENCE_RESULTS))
 class ExperimentPlan:
     """A grid of runs plus the configuration they share, checked and normalized however
     it is built (directly, by ``make_plan`` or by ``replace``): a bad field raises ValueError
-    naming it. ``as_distinct`` reads ``seeds`` and each function's dimensions (``dimensions``
-    is in plan order) into tuples of ``int``; ``out_dir`` and ``trace_dir`` become ``Path``s.
+    naming it. ``as_distinct`` reads ``seeds`` and each function's dimensions into tuples of
+    ``int``, held in plan order by a read-only ``dimensions``; the paths become ``Path``s.
     """
 
-    dimensions: dict
+    dimensions: Mapping
     seeds: tuple
     config: VoaConfig
     out_dir: Path
     trace_dir: Optional[Path] = None
 
     def __post_init__(self):
-        if not isinstance(self.dimensions, dict) or not self.dimensions:
+        if not isinstance(self.dimensions, Mapping) or not self.dimensions:
             raise ValueError("plan selects no benchmark functions: dimensions must be a "
-                             f"non-empty dict, got {self.dimensions!r}")
+                             f"non-empty mapping, got {self.dimensions!r}")
         if not isinstance(self.config, VoaConfig):
             raise ValueError(f"config must be a VoaConfig, got {self.config!r}")
         object.__setattr__(self, "seeds", as_distinct("seeds", self.seeds, as_seed))
-        object.__setattr__(self, "dimensions", {
+        object.__setattr__(self, "dimensions", MappingProxyType({
             name: as_distinct(f"dimensions of {name!r}", dims,
                               lambda _, d: get_spec(name).check_dimension(d))
-            for name, dims in self.dimensions.items()})
+            for name, dims in self.dimensions.items()}))
         for name, path in (("out_dir", self.out_dir), ("trace_dir", self.trace_dir)):
             if path is not None or name == "out_dir":
                 if not isinstance(path, (str, os.PathLike)) or not os.fspath(path):
@@ -160,7 +161,9 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
         dimensions = {s.name: tuple(d for f, d in REFERENCE_RESULTS if f == s.name) for s in specs}
     base = as_integer("base_seed", DEFAULT_BASE_SEED if base_seed is None else base_seed)
     count = as_integer("seed_count", DEFAULT_SEED_COUNT if seed_count is None else seed_count)
-    overrides = config_overrides or {}
+    overrides = {} if config_overrides is None else config_overrides
+    if not isinstance(overrides, Mapping):
+        raise ValueError(f"config_overrides must be a mapping, got {overrides!r}")
     if "seed" in overrides:
         raise ValueError("config_overrides cannot set the seed; use base_seed and seed_count")
     settable = {f.name for f in fields(VoaConfig) if f.init}
@@ -186,7 +189,7 @@ def _run_cell(task) -> RunReport:
         return RunReport(function=name, dimension=dimension, seed=config.seed, config=config,
                          error=f"{type(exc).__name__}: {exc}")
     # Outside the try: a failed write is an I/O fault, not a failed run.
-    if trace_dir is not None and report.trace is not None:
+    if trace_dir is not None:
         write_trace(report, trace_dir)
     return replace(report, trace=None)
 
@@ -202,12 +205,12 @@ def _usable_cpus() -> int:
 def execute_plan(plan: ExperimentPlan, jobs=None, progress=None) -> list:
     """Run every (function, dimension, seed) cell of the plan.
 
-    Runs execute concurrently across processes when ``jobs`` exceeds one
-    (default: the usable CPU count); each run owns its full state and random
-    stream, so results and their order do not depend on scheduling. One job,
-    or a one-run plan, runs in this process. ``jobs`` below 1 or not an
-    integer raises ValueError before any run starts. ``progress`` is called
-    with each finished report in plan order.
+    ``jobs`` (default: the usable CPU count) caps the worker processes; the
+    plan gets ``min(jobs, runs)`` of them, so no worker sits idle. One worker
+    runs the plan in this process. Each run owns its full state and random
+    stream, so results and their order do not depend on scheduling. ``jobs``
+    below 1 or not an integer raises ValueError before any run starts.
+    ``progress`` is called with each finished report in plan order.
 
     The plan's output directory, and its trace directory when set, are
     created before the first run, so a path that cannot be a directory
@@ -215,9 +218,7 @@ def execute_plan(plan: ExperimentPlan, jobs=None, progress=None) -> list:
     each run's trace file is written by the process that ran it, as the
     run ends, and a failed write propagates rather than failing the run.
     """
-    jobs = _usable_cpus() if jobs is None else as_integer("jobs", jobs)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = _usable_cpus() if jobs is None else as_integer("jobs", jobs, minimum=1)
     for directory in (plan.out_dir, plan.trace_dir):
         if directory is not None:
             directory.mkdir(parents=True, exist_ok=True)
@@ -226,11 +227,11 @@ def execute_plan(plan: ExperimentPlan, jobs=None, progress=None) -> list:
         for name, dim in plan.cells()
         for seed in plan.seeds
     ]
-    in_process = jobs == 1 or len(tasks) <= 1
-    pool = contextlib.nullcontext() if in_process else ProcessPoolExecutor(max_workers=jobs)
+    workers = min(jobs, len(tasks))
+    pool = contextlib.nullcontext() if workers == 1 else ProcessPoolExecutor(max_workers=workers)
     reports = []
     with pool:
-        for report in (map if in_process else pool.map)(_run_cell, tasks):
+        for report in (map if workers == 1 else pool.map)(_run_cell, tasks):
             if progress is not None:
                 progress(report)
             reports.append(report)

@@ -255,6 +255,23 @@ class TestMain:
         out = capsys.readouterr().out
         assert "sphere" in out
 
+    def test_run_reports_a_failed_run_and_warns(self, tmp_path, monkeypatch, capsys):
+        real = harness.run
+
+        def flaky(config, objective):
+            if config.seed == 2:
+                raise RuntimeError("objective exploded")
+            return real(config, objective)
+
+        monkeypatch.setattr(harness, "run", flaky)
+        code = main(["run", "--function", "sphere", "--dim", "2", "--seeds", "2",
+                     "--iterations", "5", "--jobs", "1", "--out", str(tmp_path / "res")])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("[1/2] sphere d=2 seed=1 best=")
+        assert err[1:] == ["[2/2] sphere d=2 seed=2 error=RuntimeError: objective exploded",
+                           "warning: 1 run(s) failed; see runs.csv"]
+
     def test_run_rejects_bad_cell(self, capsys):
         code = main(["run", "--function", "booth", "--dim", "7"])
         assert code == 2
@@ -353,6 +370,14 @@ class TestMain:
             lines.append(f"{function},{dim},{seed},{best:.5e},100,10,1.000,0.0")
         path.mkdir(parents=True)
         (path / "runs.csv").write_text("\n".join(lines) + "\n")
+
+    def test_check_without_a_reference_cell_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        self._write_runs(out, [("sphere", 3, s, 1e-9) for s in (1, 2)])
+        assert main(["check", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no checkable cells in the results\n"
 
     def test_check_passes_good_results(self, tmp_path, capsys):
         out = tmp_path / "res"

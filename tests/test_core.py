@@ -98,6 +98,14 @@ class TestRandomSource:
         draws = RandomSource(42).uniform_unit_batch(1_000_000)
         assert 0.495 <= draws.mean() <= 0.505
 
+    @pytest.mark.parametrize("take", ["peek", "uniform_unit_batch"])
+    def test_negative_batch_rejected_consuming_nothing(self, take):
+        rng = RandomSource(42)
+        with pytest.raises(ValueError, match="^batch size must be non-negative, got -1$"):
+            getattr(rng, take)(-1)
+        np.testing.assert_array_equal(rng.uniform_unit_batch(3),
+                                      RandomSource(42).uniform_unit_batch(3))
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             RandomSource(-1)
@@ -408,6 +416,12 @@ class TestObjective:
             Objective(name="q", dimension=2, bounds=((-1.0, 1.0),) * 2, evaluate=lambda p: 0.0)
         with pytest.raises(ValueError, match="^bounds must hold"):
             Objective(name="q", bounds=(), evaluate=lambda p: 0.0)
+
+    @pytest.mark.parametrize("bounds", [5, [5], np.float64(1.0), [(1, 2, 3)], [(1,)], "ab"])
+    def test_bounds_that_are_not_pairs_rejected_naming_bounds(self, bounds):
+        with pytest.raises(ValueError, match="^bounds must hold one or more "
+                           r"\(lower, upper\) pairs, got "):
+            Objective(name="x", bounds=bounds, evaluate=lambda X: X[..., 0])
 
     @pytest.mark.parametrize("dimension", [2.0, True, "2"])
     def test_non_integer_dimension_rejected(self, dimension):

@@ -5,6 +5,7 @@ import io
 import pickle
 import re
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -69,6 +70,11 @@ class TestMakePlan:
                            "per_coordinate_draws: no such VoaConfig field$"):
             make_plan(functions=["booth"], out_dir=tmp_path, config_overrides={
                 "max_iterations": 5, "momentum": 0.9, "per_coordinate_draws": False})
+
+    @pytest.mark.parametrize("overrides", [5, [["n_particles", 5]], "n_particles"])
+    def test_config_overrides_that_are_not_a_mapping_rejected(self, tmp_path, overrides):
+        with pytest.raises(ValueError, match="^config_overrides must be a mapping, got "):
+            make_plan(functions=["booth"], config_overrides=overrides, out_dir=tmp_path)
 
     def test_default_plan_covers_the_full_grid(self, tmp_path):
         plan = make_plan(out_dir=tmp_path)
@@ -254,7 +260,7 @@ class TestPlanBoundary:
             except ValueError as exc:
                 assert any(word in str(exc) for word in _NAMED_BY.get(field, (field,))), exc
                 continue
-            assert type(plan.dimensions) is dict and plan.dimensions
+            assert type(plan.dimensions) is MappingProxyType and plan.dimensions
             for name, dims in plan.dimensions.items():
                 assert type(name) is str and type(dims) is tuple and dims
                 assert all(type(d) is int for d in dims)
@@ -271,6 +277,14 @@ class TestPlanBoundary:
         assert plan.dimensions == {"sphere": (5, 2), "booth": (2,)}
         assert plan.seeds == (3, 1)
         assert (plan.out_dir, plan.trace_dir) == (Path("res"), Path("traces"))
+
+    def test_dimensions_cannot_change_after_the_checks(self, tmp_path):
+        plan = make_plan(functions=["sphere"], dims=[2], out_dir=tmp_path)
+        with pytest.raises(TypeError):
+            plan.dimensions["sphere"] = (1.5,)
+        assert plan.cells() == [("sphere", 2)]
+        again = dataclasses.replace(plan, dimensions=plan.dimensions)
+        assert again == plan and type(again.dimensions) is MappingProxyType
 
 
 class TestExecutePlan:
@@ -363,6 +377,31 @@ class TestExecutePlan:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", no_run)
         with pytest.raises(ValueError, match=f"^{message}"):
             execute_plan(small_plan(tmp_path), jobs=jobs)
+
+    @pytest.mark.parametrize("jobs,seed_count,pools", [(8, 2, [2]), (1, 2, []), (8, 1, [])])
+    def test_the_pool_has_at_most_one_worker_per_run(self, tmp_path, monkeypatch, jobs,
+                                                     seed_count, pools):
+        started = []
+
+        class RecordingPool:  # records its size and maps in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        plan = small_plan(tmp_path, functions=["booth"], seed_count=seed_count)
+        reports = execute_plan(plan, jobs=jobs)
+        assert started == pools
+        assert [r.seed for r in reports] == list(range(1, seed_count + 1))
+        assert all(r.error is None for r in reports)
 
     def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
@@ -601,6 +640,12 @@ class TestWriteReports:
         message = f"{path}:3: {cells} cells, but the header has 8"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_runs_csv(path)
+
+    def test_runs_csv_blank_line_between_rows_skipped(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        rows = [f"sphere,2,{seed},1.0e-01,100,10,1.000,0.0;0.5" for seed in (1, 2)]
+        path.write_text("\n".join([RUNS_HEADER, rows[0], "", rows[1]]) + "\n")
+        assert [r.seed for r in read_runs_csv(path)] == [1, 2]
 
     def test_runs_csv_repeated_column_named(self, tmp_path):
         # Read as a dict, the second seed cell would silently win: seed 7, not 1.
