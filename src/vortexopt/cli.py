@@ -175,8 +175,8 @@ def _cmd_run(ns) -> int:
     for name, medians in grid:
         print(f"{name:<18}" + "".join(f"{'NA' if m is None else _sci(m):>13}" for m in medians))
     print(f"\nreports written to {paths['runs']} and {paths['summary']}")
-    if paths["traces"] is not None:
-        print(f"traces written to {paths['traces']}")
+    if plan.trace_dir is not None:
+        print(f"traces written to {plan.trace_dir}")
     failures = [r for r in reports if r.error is not None]
     if failures:
         print(f"warning: {len(failures)} run(s) failed; see runs.csv", file=sys.stderr)
@@ -188,7 +188,8 @@ def _cmd_check(ns) -> int:
     if not runs_path.exists():
         raise ValueError(f"{runs_path} not found; run `vortexopt run` first")
     reports = read_runs_csv(runs_path)
-    results = {(res.function, res.dimension): res for res in evaluate_checks(summarize(reports))}
+    checks = {(row.function, row.dimension): (row, rule, passed)
+              for row, rule, passed in evaluate_checks(summarize(reports))}
     runs = {}  # per cell, each seed's run: whether it succeeded
     for r in reports:
         runs.setdefault((r.function, r.dimension), {})[r.seed] = succeeded(r)
@@ -208,24 +209,26 @@ def _cmd_check(ns) -> int:
         f"{name}={config.get(name)}" for name, value in _DEFAULT.resolved().items()
         if name != "seed" and config.get(name) != value]
     planned = as_distinct(f"{summary_path}: seeds", summary["seeds"], as_seed) \
-        if "seeds" in summary else ()
+        if "seeds" in summary else None
     verdicts = []
     for function, dimension in cells:
-        res, seeds = results.get((function, dimension)), runs[function, dimension]
-        if res is None:
+        seeds = runs[function, dimension]
+        if (function, dimension) not in checks:
             print(f"FAIL {function} d={dimension} has no successful run")
             verdicts.append(False)
             continue
-        # A median over the surviving seeds is not the table's statistic.
+        row, rule, passed = checks[function, dimension]
+        # A median over other seeds than the plan's is not the table's statistic.
         failed = [s for s, ok in seeds.items() if not ok]
-        missing = [s for s in planned if s not in seeds]
+        missing = [s for s in planned or () if s not in seeds]
+        unplanned = [] if planned is None else [s for s in seeds if s not in planned]
         note = "".join(f"; {kind} {', '.join(map(str, items))}" for kind, items in (
             ("failed seeds", failed), ("missing seeds", missing),
-            ("non-default config", differing)) if items)
-        verdicts.append(res.passed and not note)
+            ("unplanned seeds", unplanned), ("non-default config", differing)) if items)
+        verdicts.append(passed and not note)
         print(f"{'PASS' if verdicts[-1] else 'FAIL'} {function} d={dimension} "
-              f"median={res.median:.6e} reference={res.reference_value:.4f} "
-              f"rule: {res.rule}{note}")
+              f"median={row.median:.6e} reference={row.reference_value:.4f} "
+              f"rule: {rule}{note}")
     return 0 if all(verdicts) else 1
 
 

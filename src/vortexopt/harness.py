@@ -29,7 +29,6 @@ from .engine import RunReport, RunTrace, run
 __all__ = [
     "ExperimentPlan",
     "SummaryRow",
-    "CheckResult",
     "REFERENCE_RESULTS",
     "make_plan",
     "execute_plan",
@@ -319,8 +318,7 @@ def write_reports(reports, summaries, plan: ExperimentPlan) -> dict:
     runs.csv's cells are written by ``_RUNS_COLUMNS``, the summary grid is
     ``summary_grid``'s with ``NA`` for its empty cells; fixed number formats
     make identical plans write identical bytes (wall time aside). Trace files
-    are written not here but by ``execute_plan`` as each run ends; ``"traces"``
-    in the returned paths is the plan's trace directory, or None.
+    are written not here but by ``execute_plan`` as each run ends.
     """
     out_dir = plan.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -345,7 +343,6 @@ def write_reports(reports, summaries, plan: ExperimentPlan) -> dict:
         "runs": runs_path,
         "summary": summary_path,
         "summary_json": json_path,
-        "traces": plan.trace_dir,
     }
 
 
@@ -415,20 +412,9 @@ def read_runs_csv(path) -> list:
     return reports
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one reference-table comparison."""
-
-    function: str
-    dimension: int
-    median: float
-    reference_value: float
-    rule: str
-    passed: bool
-
-
 def evaluate_checks(summaries) -> list:
-    """Compare cell medians against the reference table tolerances."""
+    """Compare cell medians against the reference table tolerances: one
+    ``(row, rule, passed)`` per summary row that has a table cell, in order."""
     results = []
     for s in summaries:
         entry = REFERENCE_RESULTS.get((s.function, s.dimension))
@@ -436,17 +422,8 @@ def evaluate_checks(summaries) -> list:
             continue
         reference, rule, tol = entry
         if rule == "max":
-            passed = s.median <= tol
-            text = f"median <= {tol:g}"
+            results.append((s, f"median <= {tol:g}", s.median <= tol))
         else:
-            passed = abs(s.median - reference) <= tol
-            text = f"|median - {reference:g}| <= {tol:g}"
-        results.append(CheckResult(
-            function=s.function,
-            dimension=s.dimension,
-            median=s.median,
-            reference_value=reference,
-            rule=text,
-            passed=passed,
-        ))
+            results.append((s, f"|median - {reference:g}| <= {tol:g}",
+                            abs(s.median - reference) <= tol))
     return results

@@ -7,13 +7,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vortexopt.harness as harness
 from helpers import strip_wall_column
 from test_golden_reports import GOLDEN, RUN_ARGS, legacy_trace_view
+from test_harness import fake_report
 from vortexopt import VoaConfig
 from vortexopt.cli import RUN_SETTINGS, build_parser, load_config_file, main, parse_plan
 from vortexopt.harness import (
+    REFERENCE_RESULTS,
     RUNS_HEADER,
     make_plan,
     read_runs_csv,
@@ -433,7 +437,21 @@ class TestMain:
         assert line.endswith("; failed seeds 4; missing seeds 2, 5")
         (out / "summary.json").write_text(json.dumps({"seeds": [1, 3]}))
         assert main(["check", "--out", str(out)]) == 1
-        assert capsys.readouterr().out.splitlines()[0].endswith("; failed seeds 4")
+        assert capsys.readouterr().out.splitlines()[0].endswith(
+            "; failed seeds 4; unplanned seeds 4")
+        # A run the plan did not make moves the median: 1.22e-1 over seeds 1 to 3,
+        # where the planned seeds 1 and 2 give 2.10e-1.
+        booth = tmp_path / "booth"
+        assert main(["run", "--function", "booth", "--seeds", "3", "--iterations", "5",
+                     "--jobs", "1", "--out", str(booth)]) == 0
+        summary = json.loads((booth / "summary.json").read_text())
+        summary.update(seeds=[1, 2], config=VoaConfig().resolved())
+        (booth / "summary.json").write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert main(["check", "--out", str(booth)]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL booth d=2 median=1.221670e-01 reference=0.0000 rule: median <= 0.0001"
+            "; unplanned seeds 3\n")
 
     @pytest.mark.parametrize("seeds,named", [("1", "seeds must be a list, got '1'"),
                                              ([1, 2.0], "seeds[1] must be an integer"),
@@ -554,6 +572,81 @@ class TestMain:
         )
         assert proc.returncode == 0
         assert "rosenbrock" in proc.stdout
+
+
+# Configurations that differ from the default in one field.
+_ONE_FIELD_CHANGED = [{"n_particles": 12}, {"max_iterations": 40},
+                      {"initial_vorticity": 0.25}, {"max_vorticity": 3.5},
+                      {"min_vorticity": -2.5}, {"elimination_threshold": 6},
+                      {"pull_epsilon": 1e-6}, {"target_fitness": 1e-8}]
+
+
+@st.composite
+def _check_inputs(draw):
+    """``(rows, planned, overrides, keep_summary)``: each row is ``(function, dimension,
+    seed, best)``, NaN for a failed run. A planned seed of a cell has a best on either
+    side of the cell's rule, NaN or no row; up to two rows hold seeds the plan lacks."""
+    cells = draw(st.lists(st.sampled_from(list(REFERENCE_RESULTS)), min_size=1, max_size=3,
+                          unique=True))
+    planned = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True))
+
+    def bests(cell):
+        reference, rule, tol = REFERENCE_RESULTS[cell]
+        centre = reference if rule == "near" else 0.0
+        return st.floats(-2.0, 2.0).map(lambda x: centre + x * tol) | st.just(float("nan"))
+
+    rows = []
+    for cell in cells:
+        cell_rows = [(*cell, seed, draw(bests(cell) | st.none())) for seed in planned]
+        cell_rows = [row for row in cell_rows if row[3] is not None]
+        # A planned cell with no rows is not judged here.
+        rows += cell_rows or [(*cell, planned[0], draw(bests(cell)))]
+    for cell, seed in draw(st.lists(st.tuples(st.sampled_from(cells), st.integers(7, 8)),
+                                    max_size=2, unique=True)):
+        rows.append((*cell, seed, draw(bests(cell))))
+    overrides = draw(st.just({}) | st.sampled_from(_ONE_FIELD_CHANGED))
+    return rows, planned, overrides, draw(st.booleans())
+
+
+class TestCheckVerdict:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_check_inputs())
+    # A run the plan did not make moves the median across the rule: 1.25e-4 over
+    # the plan's seeds, 5e-5 with it.
+    @example(case=([("booth", 2, 1, 5e-5), ("booth", 2, 2, 2e-4), ("booth", 2, 3, 1e-9)],
+                   [1, 2], {}, True))
+    def test_a_cell_passes_on_its_rule_over_exactly_the_planned_seeds(self, tmp_path_factory,
+                                                                     case):
+        rows, planned, overrides, keep_summary = case
+        out = tmp_path_factory.mktemp("check")
+        reports = [fake_report(f, d, seed, best, error="boom" if np.isnan(best) else None)
+                   for f, d, seed, best in rows]
+        plan = make_plan(functions=["booth"], seed_count=1, out_dir=out)
+        plan = dataclasses.replace(plan, seeds=planned, config=VoaConfig(**overrides))
+        write_reports(reports, summarize(reports), plan)
+        if not keep_summary:
+            (out / "summary.json").unlink()
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = main(["check", "--out", str(out)])
+
+        expected = {}
+        for r in read_runs_csv(out / "runs.csv"):  # the bests as runs.csv rounds them
+            expected.setdefault((r.function, r.dimension), []).append((r.seed, r.best_fitness))
+        for (function, dimension), runs in expected.items():
+            reference, rule, tol = REFERENCE_RESULTS[function, dimension]
+            seeds = [seed for seed, _ in runs]
+            bests = [best for _, best in runs if np.isfinite(best)]
+            median = np.median(bests) if bests else np.nan
+            on_plan = not keep_summary or sorted(seeds) == sorted(planned)
+            expected[function, dimension] = (
+                (median <= tol if rule == "max" else abs(median - reference) <= tol)
+                and len(bests) == len(runs) and on_plan and not (keep_summary and overrides))
+        verdicts = []  # one line per cell, in runs.csv's order
+        for line in stdout.getvalue().splitlines():
+            verdict, function, dimension = line.split()[:3]
+            verdicts.append(((function, int(dimension.removeprefix("d="))), verdict == "PASS"))
+        assert verdicts == list(expected.items())
+        assert code == (0 if all(expected.values()) else 1)
 
 
 class TestTraceOutput:

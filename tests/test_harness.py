@@ -748,30 +748,29 @@ class TestChecks:
     def test_near_rules_measure_from_their_own_reference(self):
         assert REFERENCE_RESULTS[("goldstein_price", 2)] == (3.0, "near", 1e-3)
         assert REFERENCE_RESULTS[("mccormick", 2)] == (-1.9133, "near", 1e-3)
-        results = evaluate_checks([
-            SummaryRow("goldstein_price", 2, 20, 3.0, 3.0005, 3.0, 0.0, None),
-            SummaryRow("mccormick", 2, 20, -1.92, -1.9131, -1.91, 0.0, None),
-            SummaryRow("rosenbrock", 10, 20, 0.0, 0.009, 0.0, 0.0, None),
-        ])
-        assert [r.rule for r in results] == [
+        rows = summarize([fake_report("goldstein_price", 2, 1, 3.0005),
+                          fake_report("mccormick", 2, 1, -1.9131),
+                          fake_report("rosenbrock", 10, 1, 0.009)])
+        results = evaluate_checks(rows)
+        assert [row for row, _, _ in results] == rows
+        assert [rule for _, rule, _ in results] == [
             "|median - 3| <= 0.001", "|median - -1.9133| <= 0.001", "median <= 0.01"]
-        assert [r.reference_value for r in results] == [3.0, -1.9133, 0.0002]
-        assert all(r.passed for r in results)
+        assert [row.reference_value for row, _, _ in results] == [3.0, -1.9133, 0.0002]
+        assert all(passed for _, _, passed in results)
 
     def test_threshold_rule(self):
         rows = [SummaryRow("sphere", 2, 20, 0.0, 5e-5, 1e-4, 1e-4, 0.0)]
-        result = evaluate_checks(rows)[0]
-        assert result.passed
+        assert evaluate_checks(rows) == [(rows[0], "median <= 0.0001", True)]
         rows = [SummaryRow("sphere", 2, 20, 0.0, 2e-4, 1e-4, 1e-4, 0.0)]
-        assert not evaluate_checks(rows)[0].passed
+        assert evaluate_checks(rows) == [(rows[0], "median <= 0.0001", False)]
 
     def test_near_rule(self):
         rows = [SummaryRow("goldstein_price", 2, 20, 3.0, 3.0005, 3.0, 0.0, 3.0)]
-        assert evaluate_checks(rows)[0].passed
+        assert evaluate_checks(rows)[0][2] is True
         rows = [SummaryRow("goldstein_price", 2, 20, 3.0, 3.01, 3.0, 0.0, 3.0)]
-        assert not evaluate_checks(rows)[0].passed
+        assert evaluate_checks(rows)[0][2] is False
         rows = [SummaryRow("mccormick", 2, 20, -1.92, -1.9131, -1.91, 0.0, -1.9133)]
-        assert evaluate_checks(rows)[0].passed
+        assert evaluate_checks(rows)[0][2] is True
 
     def test_cells_without_rules_are_skipped(self):
         rows = [SummaryRow("sphere", 3, 20, 0.0, 0.0, 0.0, 0.0, None)]
