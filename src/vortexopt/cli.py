@@ -9,13 +9,12 @@ declares each ``run`` setting once for the parser, the file and the plan.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .benchmarks import REGISTRY, benchmark_names
-from .core import VoaConfig, as_distinct, as_seed
+from .core import VoaConfig
 from .harness import (
     DEFAULT_BASE_SEED,
     DEFAULT_OUT_DIR,
@@ -25,6 +24,7 @@ from .harness import (
     evaluate_checks,
     execute_plan,
     make_plan,
+    read_plan,
     read_runs_csv,
     succeeded,
     summarize,
@@ -119,9 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
                            type=s.parse, help=s.help.format(default=default))
     run_p.add_argument("--config", help="settings file merged below CLI flags")
 
-    check_p = sub.add_parser("check", help="compare results against the reference table")
-    check_p.add_argument("--out", default=DEFAULT_OUT_DIR,
-                         help=f"directory containing runs.csv (default: {DEFAULT_OUT_DIR})")
+    check_p = sub.add_parser("check", help="judge the plan in summary.json by the reference table")
+    check_p.add_argument("--out", default=DEFAULT_OUT_DIR, help="directory containing runs.csv "
+                         f"and summary.json (default: {DEFAULT_OUT_DIR})")
 
     sub.add_parser("list", help="print the benchmark registry")
     return parser
@@ -184,44 +184,32 @@ def _cmd_run(ns) -> int:
 
 
 def _cmd_check(ns) -> int:
-    runs_path = Path(ns.out) / "runs.csv"
-    if not runs_path.exists():
-        raise ValueError(f"{runs_path} not found; run `vortexopt run` first")
-    reports = read_runs_csv(runs_path)
+    reports = read_runs_csv(Path(ns.out) / "runs.csv")
+    plan = read_plan(Path(ns.out) / "summary.json")
     checks = {(row.function, row.dimension): (row, rule, passed)
               for row, rule, passed in evaluate_checks(summarize(reports))}
     runs = {}  # per cell, each seed's run: whether it succeeded
     for r in reports:
         runs.setdefault((r.function, r.dimension), {})[r.seed] = succeeded(r)
-    # A table cell whose every run failed has no summary, but is still judged.
-    cells = [c for c in runs if c in REFERENCE_RESULTS]
+    # A planned table cell with no successful run, or no row, has no summary but is judged.
+    cells = [c for c in plan.cells() if c in REFERENCE_RESULTS]
     if not cells:
-        raise ValueError("no checkable cells in the results")
-    summary_path = Path(ns.out) / "summary.json"
-    try:
-        summary = json.loads(summary_path.read_text(encoding="utf-8")) if summary_path.exists() else {}
-    except ValueError as exc:  # also a file that is not UTF-8
-        raise ValueError(f"{summary_path} is not valid JSON: {exc}") from None
-    summary = summary if isinstance(summary, dict) else {}
-    config = summary.get("config")
+        raise ValueError("no checkable cells in the plan")
     # The table holds results at the default configuration, seed aside.
-    differing = [] if not isinstance(config, dict) else [
-        f"{name}={config.get(name)}" for name, value in _DEFAULT.resolved().items()
-        if name != "seed" and config.get(name) != value]
-    planned = as_distinct(f"{summary_path}: seeds", summary["seeds"], as_seed) \
-        if "seeds" in summary else None
+    differing = [f"{name}={value}" for name, value in plan.config.resolved().items()
+                 if name != "seed" and value != _DEFAULT.resolved()[name]]
     verdicts = []
     for function, dimension in cells:
-        seeds = runs[function, dimension]
         if (function, dimension) not in checks:
             print(f"FAIL {function} d={dimension} has no successful run")
             verdicts.append(False)
             continue
         row, rule, passed = checks[function, dimension]
+        seeds = runs[function, dimension]
         # A median over other seeds than the plan's is not the table's statistic.
         failed = [s for s, ok in seeds.items() if not ok]
-        missing = [s for s in planned or () if s not in seeds]
-        unplanned = [] if planned is None else [s for s in seeds if s not in planned]
+        missing = [s for s in plan.seeds if s not in seeds]
+        unplanned = [s for s in seeds if s not in plan.seeds]
         note = "".join(f"; {kind} {', '.join(map(str, items))}" for kind, items in (
             ("failed seeds", failed), ("missing seeds", missing),
             ("unplanned seeds", unplanned), ("non-default config", differing)) if items)
@@ -229,6 +217,9 @@ def _cmd_check(ns) -> int:
         print(f"{'PASS' if verdicts[-1] else 'FAIL'} {function} d={dimension} "
               f"median={row.median:.6e} reference={row.reference_value:.4f} "
               f"rule: {rule}{note}")
+    for function, dimension in [c for c in runs if c not in plan.cells()]:
+        print(f"FAIL {function} d={dimension} is not in the plan")
+        verdicts.append(False)
     return 0 if all(verdicts) else 1
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "write_reports",
     "write_trace",
     "read_runs_csv",
+    "read_plan",
     "evaluate_checks",
     "RUNS_HEADER",
     "TRACE_HEADER",
@@ -92,6 +93,7 @@ REFERENCE_RESULTS = {
     ("rosenbrock", 30): (0.0023, "max", 5e-2),
 }
 GRID_DIMENSIONS = tuple(dict.fromkeys(d for _, d in REFERENCE_RESULTS))
+_SETTABLE = tuple(f.name for f in fields(VoaConfig) if f.init)  # what a plan's config may set
 
 
 @dataclass(frozen=True)
@@ -165,8 +167,7 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
         raise ValueError(f"config_overrides must be a mapping, got {overrides!r}")
     if "seed" in overrides:
         raise ValueError("config_overrides cannot set the seed; use base_seed and seed_count")
-    settable = {f.name for f in fields(VoaConfig) if f.init}
-    unknown = ", ".join(str(key) for key in overrides if key not in settable)
+    unknown = ", ".join(str(key) for key in overrides if key not in _SETTABLE)
     if unknown:
         raise ValueError(f"config_overrides cannot set {unknown}: no such VoaConfig field")
     return ExperimentPlan(
@@ -330,7 +331,8 @@ def write_reports(reports, summaries, plan: ExperimentPlan) -> dict:
     summary_path = _write_csv(out_dir / "summary.csv", header, (
         [name, *("NA" if m is None else _sci(m) for m in medians)] for name, medians in grid))
 
-    payload = {
+    payload = {  # the plan, as read_plan reads it; cells in a list keep plan order
+        "cells": plan.cells(),
         "config": plan.config.resolved(),
         "seeds": list(plan.seeds),
         "rows": [asdict(s) for s in summaries],
@@ -344,6 +346,30 @@ def write_reports(reports, summaries, plan: ExperimentPlan) -> dict:
         "summary": summary_path,
         "summary_json": json_path,
     }
+
+
+def read_plan(path) -> ExperimentPlan:
+    """Rebuild the plan ``write_reports`` recorded in ``summary.json`` through ``VoaConfig``
+    and ``ExperimentPlan``, with the file's directory as ``out_dir``. A missing file,
+    invalid JSON, or a missing or bad entry raises one ValueError naming the file."""
+    path = Path(path)
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        cells = record["cells"] if isinstance(record, dict) else None
+        if not (isinstance(cells, list) and isinstance(record["config"], dict) and all(
+                isinstance(c, list) and len(c) == 2 and isinstance(c[0], str) for c in cells)):
+            raise ValueError("needs a config object and cells, a list of [function, dimension]")
+        dimensions = {f: [d for g, d in cells if g == f] for f, _ in cells}
+        return ExperimentPlan(dimensions, record["seeds"], out_dir=path.parent, config=VoaConfig(
+            **{name: record["config"][name] for name in _SETTABLE}))
+    except FileNotFoundError:
+        raise ValueError(f"{path} not found; run `vortexopt run` first") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"{path}: no {exc} entry") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_trace(report: RunReport, trace_dir) -> Path:
@@ -363,12 +389,14 @@ def write_trace(report: RunReport, trace_dir) -> Path:
 
 def read_runs_csv(path) -> list:
     """Load per-run reports back from runs.csv through ``_RUNS_COLUMNS`` (config and
-    trace omitted); bad input (not UTF-8, a missing or repeated column, a row whose
-    cell count differs from the header's, a cell that does not parse, a csv error,
-    a repeated (function, dimension, seed) run) fails naming the file."""
+    trace omitted); bad input (no such file, not UTF-8, a missing or repeated column,
+    a row whose cell count differs from the header's, a cell that does not parse, a
+    csv error, a repeated (function, dimension, seed) run) fails naming the file."""
     path = Path(path)
     try:  # not read_text: its newline translation would turn a quoted CR into LF
         text = path.read_bytes().decode("utf-8")
+    except FileNotFoundError:
+        raise ValueError(f"{path} not found; run `vortexopt run` first") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))

@@ -39,7 +39,9 @@ from vortexopt.core import RandomSource
 DEFAULT_PLAN_GOLDEN = {
     "runs": "90daf5e4f7c3b9041bf70f31f5c23d840690f7836c287fd790c637250158b3b0",
     "summary": "d007b24bc25e87612f96ca2af344a739fc1bbe91de356b43f93861ac4671c2ae",
-    "summary_json": "7ec94d3711a908a3ea81c6a43edd37b78c30da7de68d8fba4ecbcaa6cbc14ecb",
+    # Re-pinned when summary.json began recording the plan's cells; that entry
+    # is the only change.
+    "summary_json": "0605ca3ee1c1f4bf37a9f86d68b01526ab6cc2744695326dcb15e921d4c76fd8",
 }
 
 

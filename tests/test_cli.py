@@ -18,6 +18,7 @@ from vortexopt import VoaConfig
 from vortexopt.cli import RUN_SETTINGS, build_parser, load_config_file, main, parse_plan
 from vortexopt.harness import (
     REFERENCE_RESULTS,
+    ExperimentPlan,
     RUNS_HEADER,
     make_plan,
     read_runs_csv,
@@ -368,12 +369,17 @@ class TestMain:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
-    def _write_runs(self, path, rows):
-        lines = [RUNS_HEADER]
-        for function, dim, seed, best in rows:
-            lines.append(f"{function},{dim},{seed},{best:.5e},100,10,1.000,0.0")
-        path.mkdir(parents=True)
-        (path / "runs.csv").write_text("\n".join(lines) + "\n")
+    def _write_runs(self, path, rows, seeds=None):
+        """Write ``rows`` of (function, dimension, seed, best) to runs.csv through
+        ``write_reports``, which records their plan in summary.json: the rows' cells in
+        row order, their seeds unless ``seeds`` names the plan's, the default config."""
+        reports = [fake_report(*row) for row in rows]
+        dimensions = {}
+        for function, dim in dict.fromkeys((f, d) for f, d, _, _ in rows):
+            dimensions.setdefault(function, []).append(dim)
+        seeds = list(dict.fromkeys(s for _, _, s, _ in rows)) if seeds is None else seeds
+        write_reports(reports, summarize(reports),
+                      ExperimentPlan(dimensions, seeds, VoaConfig(), out_dir=path))
 
     def test_check_without_a_reference_cell_exits_2(self, tmp_path, capsys):
         out = tmp_path / "res"
@@ -381,7 +387,59 @@ class TestMain:
         assert main(["check", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: no checkable cells in the results\n"
+        assert captured.err == "error: no checkable cells in the plan\n"
+
+    def test_check_fails_a_planned_cell_with_no_rows(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        self._write_runs(out, [(f, 2, s, 1e-9) for f in ("booth", "sphere") for s in (1, 2)])
+        runs = out / "runs.csv"
+        runs.write_text("".join(line for line in runs.read_text().splitlines(keepends=True)
+                                if not line.startswith("sphere,")))
+        assert main(["check", "--out", str(out)]) == 1
+        booth, sphere = capsys.readouterr().out.splitlines()
+        assert booth.startswith("PASS booth d=2 median=1.000000e-09 ")
+        assert sphere == "FAIL sphere d=2 has no successful run"
+
+    def test_check_fails_the_rows_of_a_cell_the_plan_lacks(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (1, 2)])
+        with (out / "runs.csv").open("a") as fh:
+            fh.write("booth,2,1,1.00000e-09,100,10,1.000,0.0;0.0\n"
+                     "sphere,3,1,1.00000e-09,100,10,1.000,0.0;0.0;0.0\n")
+        assert main(["check", "--out", str(out)]) == 1
+        sphere, booth, sphere3 = capsys.readouterr().out.splitlines()
+        assert sphere.startswith("PASS sphere d=2 ") and ";" not in sphere
+        assert booth == "FAIL booth d=2 is not in the plan"
+        assert sphere3 == "FAIL sphere d=3 is not in the plan"
+
+    def test_check_names_a_config_field_of_the_wrong_type(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (1, 2)])
+        summary = json.loads((out / "summary.json").read_text())
+        summary["config"]["max_iterations"] = "abc"
+        (out / "summary.json").write_text(json.dumps(summary))
+        assert main(["check", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {out / 'summary.json'}: max_iterations must be an "
+                                "integer, got 'abc'\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("entry", [None, "cells", "seeds", "config", "n_particles"])
+    def test_check_names_a_missing_plan_record(self, tmp_path, capsys, entry):
+        out = tmp_path / "res"
+        self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (1, 2)])
+        path = out / "summary.json"
+        if entry is None:
+            path.unlink()
+        else:
+            summary = json.loads(path.read_text())
+            del (summary["config"] if entry == "n_particles" else summary)[entry]
+            path.write_text(json.dumps(summary))
+        assert main(["check", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {path} not found; run `vortexopt run` first\n"
+                                if entry is None else f"error: {path}: no {entry!r} entry\n")
+        assert captured.out == ""
 
     def test_check_passes_good_results(self, tmp_path, capsys):
         out = tmp_path / "res"
@@ -406,9 +464,8 @@ class TestMain:
     @pytest.mark.parametrize("passing", [["PASS booth d=2"], []])
     def test_check_fails_a_cell_whose_every_run_failed(self, tmp_path, capsys, passing):
         out = tmp_path / "res"
-        self._write_runs(out, [("booth", 2, s, 1e-9) for s in (1, 2) if passing])
-        with (out / "runs.csv").open("a") as fh:
-            fh.write("sphere,2,1,nan,0,0,0.000,\nsphere,2,2,nan,0,0,0.000,\n")
+        self._write_runs(out, [*(("booth", 2, s, 1e-9) for s in (1, 2) if passing),
+                               ("sphere", 2, 1, np.nan), ("sphere", 2, 2, np.nan)])
         assert main(["check", "--out", str(out)]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(" median=")[0] for line in lines] == [
@@ -416,9 +473,9 @@ class TestMain:
 
     def test_check_names_and_fails_a_cell_with_failed_seeds(self, tmp_path, capsys):
         out = tmp_path / "res"
-        self._write_runs(out, [("sphere", 2, 1, 1e-9), ("booth", 2, 1, 1e-9)])
-        with (out / "runs.csv").open("a") as fh:
-            fh.write("sphere,2,2,nan,0,0,0.000,\nsphere,2,3,inf,100,10,1.000,0.0\n")
+        self._write_runs(out, [("sphere", 2, 1, 1e-9), ("sphere", 2, 2, np.nan),
+                               ("sphere", 2, 3, np.inf),
+                               *(("booth", 2, s, 1e-9) for s in (1, 2, 3))])
         assert main(["check", "--out", str(out)]) == 1
         sphere, booth = capsys.readouterr().out.splitlines()
         assert sphere.startswith("FAIL sphere d=2 median=1.000000e-09 ")
@@ -427,15 +484,13 @@ class TestMain:
 
     def test_check_names_and_fails_missing_planned_seeds(self, tmp_path, capsys):
         out = tmp_path / "res"
-        self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (1, 3)])
-        with (out / "runs.csv").open("a") as fh:
-            fh.write("sphere,2,4,nan,0,0,0.000,\n")
-        (out / "summary.json").write_text(json.dumps({"seeds": [1, 2, 3, 4, 5]}))
+        rows = [("sphere", 2, 1, 1e-9), ("sphere", 2, 3, 1e-9), ("sphere", 2, 4, np.nan)]
+        self._write_runs(out, rows, seeds=[1, 2, 3, 4, 5])
         assert main(["check", "--out", str(out)]) == 1
         (line,) = capsys.readouterr().out.splitlines()
         assert line.startswith("FAIL sphere d=2 median=1.000000e-09 ")
         assert line.endswith("; failed seeds 4; missing seeds 2, 5")
-        (out / "summary.json").write_text(json.dumps({"seeds": [1, 3]}))
+        self._write_runs(out, rows, seeds=[1, 3])
         assert main(["check", "--out", str(out)]) == 1
         assert capsys.readouterr().out.splitlines()[0].endswith(
             "; failed seeds 4; unplanned seeds 4")
@@ -461,7 +516,8 @@ class TestMain:
     def test_check_names_bad_planned_seeds(self, tmp_path, capsys, seeds, named):
         out = tmp_path / "res"
         self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (1, 2)])
-        (out / "summary.json").write_text(json.dumps({"seeds": seeds}))
+        summary = json.loads((out / "summary.json").read_text())
+        (out / "summary.json").write_text(json.dumps({**summary, "seeds": seeds}))
         assert main(["check", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         (err,) = captured.err.splitlines()
@@ -489,10 +545,11 @@ class TestMain:
         assert line.startswith("FAIL sphere d=2 ")
         assert line.endswith("; non-default config max_iterations=50")
         assert gated.err == ""
-        # Without summary.json the config is unknown, and the cell passes on its median.
+        # Without summary.json the plan and its config are unknown, and nothing is judged.
         (out / "summary.json").unlink()
-        assert main(["check", "--out", str(out)]) == 0
-        assert capsys.readouterr().out == line.replace("FAIL", "PASS", 1).split(";")[0] + "\n"
+        assert main(["check", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {out / 'summary.json'} not found; "
+                                           "run `vortexopt run` first\n")
 
     def test_check_silent_for_the_default_config(self, tmp_path, capsys):
         out = tmp_path / "res"
@@ -508,14 +565,16 @@ class TestMain:
     @pytest.mark.parametrize("summary", [{"rows": []}, {"config": None}, [], "text"])
     def test_check_reads_a_summary_without_a_config_as_missing(self, tmp_path, capsys,
                                                                summary):
+        # The plan record is missing, so check exits 2 naming the file, as for no file.
         out = tmp_path / "res"
         self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (1, 2, 3)])
-        code = main(["check", "--out", str(out)])
-        missing = capsys.readouterr()
         (out / "summary.json").write_text(json.dumps(summary))
-        assert main(["check", "--out", str(out)]) == code == 0
-        assert capsys.readouterr() == missing
-        assert missing.err == ""
+        assert main(["check", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        (err,) = captured.err.splitlines()
+        named = "no 'cells' entry" if isinstance(summary, dict) else "needs a config object"
+        assert err.startswith(f"error: {out / 'summary.json'}: {named}")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("content", [b"{", b'{"config": {}', b"\xff"])
     def test_check_names_a_summary_that_is_not_json(self, tmp_path, capsys, content):
@@ -583,9 +642,11 @@ _ONE_FIELD_CHANGED = [{"n_particles": 12}, {"max_iterations": 40},
 
 @st.composite
 def _check_inputs(draw):
-    """``(rows, planned, overrides, keep_summary)``: each row is ``(function, dimension,
-    seed, best)``, NaN for a failed run. A planned seed of a cell has a best on either
-    side of the cell's rule, NaN or no row; up to two rows hold seeds the plan lacks."""
+    """``(cells, rows, planned, overrides)``: the plan's cells and seeds, each row
+    ``(function, dimension, seed, best)`` with NaN for a failed run, in any order. A
+    planned seed of a planned cell has a best on either side of the cell's rule, NaN or
+    no row, so a planned cell may have no rows; up to two rows hold seeds the plan lacks,
+    and up to two more a table cell the plan lacks."""
     cells = draw(st.lists(st.sampled_from(list(REFERENCE_RESULTS)), min_size=1, max_size=3,
                           unique=True))
     planned = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True))
@@ -598,14 +659,16 @@ def _check_inputs(draw):
     rows = []
     for cell in cells:
         cell_rows = [(*cell, seed, draw(bests(cell) | st.none())) for seed in planned]
-        cell_rows = [row for row in cell_rows if row[3] is not None]
-        # A planned cell with no rows is not judged here.
-        rows += cell_rows or [(*cell, planned[0], draw(bests(cell)))]
+        rows += [row for row in cell_rows if row[3] is not None]
     for cell, seed in draw(st.lists(st.tuples(st.sampled_from(cells), st.integers(7, 8)),
                                     max_size=2, unique=True)):
         rows.append((*cell, seed, draw(bests(cell))))
+    other = draw(st.none() | st.sampled_from([c for c in REFERENCE_RESULTS if c not in cells]))
+    if other is not None:
+        for seed in draw(st.lists(st.integers(1, 8), min_size=1, max_size=2, unique=True)):
+            rows.append((*other, seed, draw(bests(other))))
     overrides = draw(st.just({}) | st.sampled_from(_ONE_FIELD_CHANGED))
-    return rows, planned, overrides, draw(st.booleans())
+    return cells, draw(st.permutations(rows)), planned, overrides
 
 
 class TestCheckVerdict:
@@ -613,40 +676,49 @@ class TestCheckVerdict:
     @given(case=_check_inputs())
     # A run the plan did not make moves the median across the rule: 1.25e-4 over
     # the plan's seeds, 5e-5 with it.
-    @example(case=([("booth", 2, 1, 5e-5), ("booth", 2, 2, 2e-4), ("booth", 2, 3, 1e-9)],
-                   [1, 2], {}, True))
+    @example(case=([("booth", 2)], [("booth", 2, 1, 5e-5), ("booth", 2, 2, 2e-4),
+                                    ("booth", 2, 3, 1e-9)], [1, 2], {}))
+    # A planned cell with no rows fails, however the other cells fare.
+    @example(case=([("booth", 2), ("sphere", 2)], [("booth", 2, 1, 1e-9)], [1], {}))
     def test_a_cell_passes_on_its_rule_over_exactly_the_planned_seeds(self, tmp_path_factory,
                                                                      case):
-        rows, planned, overrides, keep_summary = case
+        cells, rows, planned, overrides = case
         out = tmp_path_factory.mktemp("check")
         reports = [fake_report(f, d, seed, best, error="boom" if np.isnan(best) else None)
                    for f, d, seed, best in rows]
-        plan = make_plan(functions=["booth"], seed_count=1, out_dir=out)
-        plan = dataclasses.replace(plan, seeds=planned, config=VoaConfig(**overrides))
+        dimensions = {}
+        for function, dimension in cells:
+            dimensions.setdefault(function, []).append(dimension)
+        plan = ExperimentPlan(dimensions, planned, VoaConfig(**overrides), out_dir=out)
         write_reports(reports, summarize(reports), plan)
-        if not keep_summary:
-            (out / "summary.json").unlink()
         with contextlib.redirect_stdout(io.StringIO()) as stdout:
             code = main(["check", "--out", str(out)])
 
-        expected = {}
+        runs = {}
         for r in read_runs_csv(out / "runs.csv"):  # the bests as runs.csv rounds them
-            expected.setdefault((r.function, r.dimension), []).append((r.seed, r.best_fitness))
-        for (function, dimension), runs in expected.items():
-            reference, rule, tol = REFERENCE_RESULTS[function, dimension]
-            seeds = [seed for seed, _ in runs]
-            bests = [best for _, best in runs if np.isfinite(best)]
-            median = np.median(bests) if bests else np.nan
-            on_plan = not keep_summary or sorted(seeds) == sorted(planned)
-            expected[function, dimension] = (
-                (median <= tol if rule == "max" else abs(median - reference) <= tol)
-                and len(bests) == len(runs) and on_plan and not (keep_summary and overrides))
-        verdicts = []  # one line per cell, in runs.csv's order
+            runs.setdefault((r.function, r.dimension), {})[r.seed] = r.best_fitness
+        expected = []  # (cell, passed, what the line says after the cell), in plan order
+        for cell in plan.cells():
+            seeds = runs.get(cell, {})
+            bests = [best for best in seeds.values() if np.isfinite(best)]
+            if not bests:
+                expected.append((cell, False, "has no successful run"))
+                continue
+            median = np.median(bests)
+            reference, rule, tol = REFERENCE_RESULTS[cell]
+            passed = (median <= tol if rule == "max" else abs(median - reference) <= tol)
+            expected.append((cell, passed and len(bests) == len(seeds) and not overrides
+                             and sorted(seeds) == sorted(planned), "median"))
+        # then each cell the plan lacks, in runs.csv's order
+        expected += [(cell, False, "is not in the plan") for cell in runs
+                     if cell not in plan.cells()]
+        verdicts = []
         for line in stdout.getvalue().splitlines():
-            verdict, function, dimension = line.split()[:3]
-            verdicts.append(((function, int(dimension.removeprefix("d="))), verdict == "PASS"))
-        assert verdicts == list(expected.items())
-        assert code == (0 if all(expected.values()) else 1)
+            verdict, function, dimension, said = line.split(" ", 3)
+            verdicts.append(((function, int(dimension.removeprefix("d="))), verdict == "PASS",
+                             "median" if said.startswith("median=") else said))
+        assert verdicts == expected
+        assert code == (0 if all(passed for _, passed, _ in expected) else 1)
 
 
 class TestTraceOutput:

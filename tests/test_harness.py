@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import functools
 import io
+import json
 import pickle
 import re
 from pathlib import Path
@@ -33,6 +34,7 @@ from vortexopt.harness import (
     REFERENCE_RESULTS,
     RUNS_HEADER,
     TRACE_HEADER,
+    read_plan,
     read_runs_csv,
     write_trace,
 )
@@ -682,15 +684,40 @@ class TestWriteReports:
             read_runs_csv(path)
 
     def test_summary_json_written(self, tmp_path):
-        import json
-
         plan = small_plan(tmp_path)
         reports = execute_plan(plan, jobs=1)
         paths = write_reports(reports, summarize(reports), plan)
         payload = json.loads(paths["summary_json"].read_text())
         assert payload["config"]["n_particles"] == 50
         assert payload["seeds"] == [1, 2, 3]
+        assert payload["cells"] == [["booth", 2], ["beale", 2]]
         assert {row["function"] for row in payload["rows"]} == {"booth", "beale"}
+
+    def test_read_plan_rebuilds_the_written_plan(self, tmp_path):
+        plan = make_plan(functions=["sphere", "booth"], dims=[5, 2], seed_count=2, base_seed=4,
+                         config_overrides={"n_particles": 12, "target_fitness": 1e-8},
+                         out_dir=tmp_path)
+        write_reports([], [], plan)
+        read = read_plan(tmp_path / "summary.json")
+        assert read.cells() == plan.cells() == [("sphere", 5), ("sphere", 2), ("booth", 2)]
+        assert read.seeds == (4, 5)
+        assert read.config.resolved() == plan.config.resolved()
+        assert read.out_dir == tmp_path and read.trace_dir is None
+
+    @pytest.mark.parametrize("cells,named", [
+        ("booth", "needs a config object and cells"),
+        ([["booth"]], "needs a config object and cells"),
+        ([[2, "booth"]], "needs a config object and cells"),
+        ([], "plan selects no benchmark functions"),
+        ([["nope", 2]], "unknown benchmark 'nope'"),
+        ([["booth", 3]], "benchmark 'booth' supports only dimension 2, got 3"),
+        ([["sphere", 2.5]], "dimension must be an integer, got 2.5"),
+        ([["sphere", 2], ["sphere", 2]], "dimensions of 'sphere' must be pairwise distinct")])
+    def test_read_plan_names_a_bad_cell(self, tmp_path, cells, named):
+        path = write_reports([], [], small_plan(tmp_path))["summary_json"]
+        path.write_text(json.dumps({**json.loads(path.read_text()), "cells": cells}))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {named}')}"):
+            read_plan(path)
 
 
 # Reals that fixed-width formats are most likely to mangle, mixed into all floats.
