@@ -195,9 +195,9 @@ def _cmd_check(ns) -> int:
     cells = [c for c in plan.cells() if c in REFERENCE_RESULTS]
     if not cells:
         raise ValueError("no checkable cells in the plan")
-    # The table holds results at the default configuration, seed aside.
+    # The table holds results at the default configuration.
     differing = [f"{name}={value}" for name, value in plan.config.resolved().items()
-                 if name != "seed" and value != _DEFAULT.resolved()[name]]
+                 if value != _DEFAULT.resolved()[name]]
     verdicts = []
     for function, dimension in cells:
         if (function, dimension) not in checks:

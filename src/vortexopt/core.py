@@ -153,8 +153,8 @@ class VoaConfig:
     tracer, that the position update takes one draw per coordinate; it is
     always True and cannot be set.
 
-    ``seed``, ``n_particles``, ``max_iterations`` and ``elimination_threshold``
-    must be integers (Python or numpy, stored as ``int``); floats, strings and
+    ``n_particles``, ``max_iterations`` and ``elimination_threshold`` must be
+    integers (Python or numpy, stored as ``int``); floats, strings and
     bools are rejected. The other numeric fields are reals, stored as ``float``.
 
     ``min_vorticity`` and ``elimination_threshold`` keep what the caller gave,
@@ -173,7 +173,6 @@ class VoaConfig:
     max_vorticity: float = 7.0
     min_vorticity: Optional[float] = None
     elimination_threshold: Optional[int] = None
-    seed: int = 1
     pull_epsilon: float = 1e-9
     per_coordinate_draws: bool = field(default=True, init=False)
     target_fitness: Optional[float] = None
@@ -181,7 +180,7 @@ class VoaConfig:
     def __post_init__(self):
         for name, convert in (("n_particles", lambda n, v: as_integer(n, v, minimum=2)),
                               ("max_iterations", lambda n, v: as_integer(n, v, minimum=0)),
-                              ("elimination_threshold", as_integer), ("seed", as_seed),
+                              ("elimination_threshold", as_integer),
                               ("initial_vorticity", as_real), ("max_vorticity", as_real),
                               ("min_vorticity", as_real), ("pull_epsilon", as_real),
                               ("target_fitness", as_real)):

@@ -264,16 +264,17 @@ def advance_iteration(state: SwarmState, config: VoaConfig, objective: Objective
     return mean, eliminated, non_finite
 
 
-def run(config: VoaConfig, objective: Objective) -> RunReport:
-    """Execute a full optimization run and report the best record found.
+def run(config: VoaConfig, objective: Objective, seed: int = 1) -> RunReport:
+    """Execute a full optimization run from ``seed``'s random stream and report
+    the best record found.
 
     The report carries the complete per-iteration trace (row 0 describes the
     initialized swarm), the total number of objective evaluations, and an
-    echo of the configuration. Identical (config, objective) pairs produce
-    identical reports apart from wall time.
+    echo of the configuration. Identical (config, objective, seed) triples
+    produce identical reports apart from wall time.
     """
     t0 = time.perf_counter()
-    rng = RandomSource(config.seed)
+    rng = RandomSource(seed)
     state = initialize_swarm(config, objective, rng)
 
     rows = [(state.fitness[state.best_index], np.count_nonzero(state.is_vortex), False,
@@ -299,7 +300,7 @@ def run(config: VoaConfig, objective: Objective) -> RunReport:
     return RunReport(
         function=objective.name,
         dimension=objective.dimension,
-        seed=config.seed,
+        seed=int(seed),
         best_fitness=float(state.fitness[state.best_index]),
         best_position=state.positions[state.best_index].copy(),
         evaluations=config.n_particles * len(trace) + int(respawned.sum()),

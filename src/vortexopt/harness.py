@@ -165,8 +165,6 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
     overrides = {} if config_overrides is None else config_overrides
     if not isinstance(overrides, Mapping):
         raise ValueError(f"config_overrides must be a mapping, got {overrides!r}")
-    if "seed" in overrides:
-        raise ValueError("config_overrides cannot set the seed; use base_seed and seed_count")
     unknown = ", ".join(str(key) for key in overrides if key not in _SETTABLE)
     if unknown:
         raise ValueError(f"config_overrides cannot set {unknown}: no such VoaConfig field")
@@ -182,11 +180,11 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
 def _run_cell(task) -> RunReport:
     """Run one cell; write its trace file when ``trace_dir`` is set, and
     return the report without its trace, so no trace crosses the pool."""
-    name, dimension, config, trace_dir = task
+    name, dimension, seed, config, trace_dir = task
     try:
-        report = run(config, get_objective(name, dimension))
+        report = run(config, get_objective(name, dimension), seed)
     except Exception as exc:  # a broken run must not abort its siblings
-        return RunReport(function=name, dimension=dimension, seed=config.seed, config=config,
+        return RunReport(function=name, dimension=dimension, seed=seed, config=config,
                          error=f"{type(exc).__name__}: {exc}")
     # Outside the try: a failed write is an I/O fault, not a failed run.
     if trace_dir is not None:
@@ -222,11 +220,8 @@ def execute_plan(plan: ExperimentPlan, jobs=None, progress=None) -> list:
     for directory in (plan.out_dir, plan.trace_dir):
         if directory is not None:
             directory.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        (name, dim, replace(plan.config, seed=seed), plan.trace_dir)
-        for name, dim in plan.cells()
-        for seed in plan.seeds
-    ]
+    tasks = [(name, dim, seed, plan.config, plan.trace_dir)
+             for name, dim in plan.cells() for seed in plan.seeds]
     workers = min(jobs, len(tasks))
     pool = contextlib.nullcontext() if workers == 1 else ProcessPoolExecutor(max_workers=workers)
     reports = []
@@ -351,7 +346,8 @@ def write_reports(reports, summaries, plan: ExperimentPlan) -> dict:
 def read_plan(path) -> ExperimentPlan:
     """Rebuild the plan ``write_reports`` recorded in ``summary.json`` through ``VoaConfig``
     and ``ExperimentPlan``, with the file's directory as ``out_dir``. A missing file,
-    invalid JSON, or a missing or bad entry raises one ValueError naming the file."""
+    invalid JSON, a missing or bad entry, or cells in an order no plan holds raises
+    one ValueError naming the file."""
     path = Path(path)
     try:
         record = json.loads(path.read_text(encoding="utf-8"))
@@ -360,8 +356,12 @@ def read_plan(path) -> ExperimentPlan:
                 isinstance(c, list) and len(c) == 2 and isinstance(c[0], str) for c in cells)):
             raise ValueError("needs a config object and cells, a list of [function, dimension]")
         dimensions = {f: [d for g, d in cells if g == f] for f, _ in cells}
-        return ExperimentPlan(dimensions, record["seeds"], out_dir=path.parent, config=VoaConfig(
+        plan = ExperimentPlan(dimensions, record["seeds"], out_dir=path.parent, config=VoaConfig(
             **{name: record["config"][name] for name in _SETTABLE}))
+        if plan.cells() != [tuple(c) for c in cells]:  # grouping by function reordered them
+            raise ValueError("cells must list each function's dimensions together, as run "
+                             "writes them")
+        return plan
     except FileNotFoundError:
         raise ValueError(f"{path} not found; run `vortexopt run` first") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -39,10 +39,10 @@ def strip_wall_column(csv_text):
     return "\n".join(out_lines)
 
 
-def run_with_invariant_checks(config: VoaConfig, objective):
-    """Run ``engine.run`` with its stage functions wrapped, asserting the swarm
-    invariants at every stage boundary, and check the report against the
-    swarm the stages left.
+def run_with_invariant_checks(config: VoaConfig, objective, seed=1):
+    """Run ``engine.run`` from ``seed`` with its stage functions wrapped,
+    asserting the swarm invariants at every stage boundary, and check the
+    report against the swarm the stages left.
 
     Returns the number of iterations in which elimination triggered.
     """
@@ -141,7 +141,7 @@ def run_with_invariant_checks(config: VoaConfig, objective):
         for wrapper in (initialize_swarm, mark_vortices, vorticity_pull, vorticity_decay,
                         move_toward_best, refresh_fitness_and_best, eliminate_and_respawn):
             setattr(engine, wrapper.__name__, wrapper)
-        report = engine.run(config, objective)
+        report = engine.run(config, objective, seed)
     finally:
         for name, fn in real.items():
             setattr(engine, name, fn)

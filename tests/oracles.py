@@ -116,8 +116,8 @@ def _mean(values):
     return float(np.add.reduce(np.array(values, dtype=np.float64))) / len(values)
 
 
-def reference_run(config, objective):
-    """One VOA run, a particle and a coordinate at a time.
+def reference_run(config, objective, seed):
+    """One VOA run from ``seed``, a particle and a coordinate at a time.
 
     Written from the engine's stage list and the frozen stream layout: stages
     in order, particles ascending, coordinates ascending. Returns a dict with
@@ -127,7 +127,7 @@ def reference_run(config, objective):
     n, d = config.n_particles, objective.dimension
     lower, upper = [float(b[0]) for b in objective.bounds], [float(b[1]) for b in objective.bounds]
     v_min, v_max = config.v_min, config.max_vorticity
-    stream = _Stream(config.seed)
+    stream = _Stream(seed)
 
     def box_points(count):
         u = stream.take(count * d)

@@ -39,9 +39,9 @@ from vortexopt.core import RandomSource
 DEFAULT_PLAN_GOLDEN = {
     "runs": "90daf5e4f7c3b9041bf70f31f5c23d840690f7836c287fd790c637250158b3b0",
     "summary": "d007b24bc25e87612f96ca2af344a739fc1bbe91de356b43f93861ac4671c2ae",
-    # Re-pinned when summary.json began recording the plan's cells; that entry
-    # is the only change.
-    "summary_json": "0605ca3ee1c1f4bf37a9f86d68b01526ab6cc2744695326dcb15e921d4c76fd8",
+    # Re-pinned when the seed left VoaConfig; the config's "seed" line is the
+    # only change.
+    "summary_json": "f479607959ca14303bfb10e4b34606234e73dba4a2ef20a7ba2941e444211975",
 }
 
 
@@ -183,8 +183,8 @@ class TestCriterion07UpdateRuleExamples:
 class TestCriterion08FullRunInvariants:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_500_iteration_sphere_run_clean(self, seed):
-        config = VoaConfig(max_iterations=500, seed=seed)
-        run_with_invariant_checks(config, get_objective("sphere", 5))
+        config = VoaConfig(max_iterations=500)
+        run_with_invariant_checks(config, get_objective("sphere", 5), seed)
         _report("criterion 8", True,
                 f"sphere d=5 seed={seed}: 500 iterations, zero invariant violations")
 
@@ -211,8 +211,8 @@ class TestCriterion09Determinism:
 class TestCriterion10DegenerateInputs:
     def test_zero_iterations_returns_initialization_best(self):
         objective = get_objective("sphere", 2)
-        config = VoaConfig(max_iterations=0, seed=21)
-        report = run(config, objective)
+        config = VoaConfig(max_iterations=0)
+        report = run(config, objective, 21)
         fresh = initialize_swarm(config, objective, RandomSource(21))
         ok = report.best_fitness == fresh.fitness[fresh.best_index]
         _report("criterion 10", ok, "max_iterations=0 returns the initialization best")

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -263,10 +262,10 @@ class TestMain:
     def test_run_reports_a_failed_run_and_warns(self, tmp_path, monkeypatch, capsys):
         real = harness.run
 
-        def flaky(config, objective):
-            if config.seed == 2:
+        def flaky(config, objective, seed):
+            if seed == 2:
                 raise RuntimeError("objective exploded")
-            return real(config, objective)
+            return real(config, objective, seed)
 
         monkeypatch.setattr(harness, "run", flaky)
         code = main(["run", "--function", "sphere", "--dim", "2", "--seeds", "2",
@@ -553,12 +552,12 @@ class TestMain:
 
     def test_check_silent_for_the_default_config(self, tmp_path, capsys):
         out = tmp_path / "res"
-        self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (1, 2, 3)])
+        self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (9, 10, 11)])
         reports = read_runs_csv(out / "runs.csv")
-        plan = make_plan(functions=["sphere"], dims=[2], seed_count=3, out_dir=out)
-        plan = dataclasses.replace(plan, config=VoaConfig(seed=9))
+        plan = make_plan(functions=["sphere"], dims=[2], seed_count=3, base_seed=9, out_dir=out)
         write_reports(reports, summarize(reports), plan)
-        assert json.loads((out / "summary.json").read_text())["config"]["seed"] == 9
+        record = json.loads((out / "summary.json").read_text())
+        assert "seed" not in record["config"] and record["seeds"] == [9, 10, 11]
         assert main(["check", "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
 

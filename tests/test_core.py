@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import rowwise
 from oracles import splitmix64_units
-from vortexopt import Objective, VoaConfig, run
+from vortexopt import Objective, VoaConfig, get_objective, run
 from vortexopt.core import _BLOCK_DRAWS, RandomSource, as_real, as_seed
 
 
@@ -175,13 +175,27 @@ class TestIntegerChecks:
             as_seed("base_seed", 2**64)
         assert as_seed("seed", np.uint64(2**64 - 1)) == 2**64 - 1
 
-    def test_config_and_random_source_share_the_check(self):
+    def test_run_and_random_source_share_the_check(self):
+        objective = Objective(name="box", bounds=((0.0, 1.0),), evaluate=lambda X: X[..., 0])
         for bad in (1.5, True, -1, 2**64):
-            with pytest.raises(ValueError) as from_config:
-                VoaConfig(seed=bad)
+            with pytest.raises(ValueError) as from_run:
+                run(VoaConfig(), objective, bad)
             with pytest.raises(ValueError) as from_rng:
                 RandomSource(bad)
-            assert str(from_config.value) == str(from_rng.value)
+            assert str(from_run.value) == str(from_rng.value)
+
+    @pytest.mark.parametrize("seed", [-3, 2**64, 1.5, "3", True])
+    def test_run_rejects_a_bad_seed_before_any_evaluation(self, seed):
+        calls = []
+        objective = Objective(name="box", bounds=((0.0, 1.0),),
+                              evaluate=lambda X: calls.append(X) or X[..., 0])
+        with pytest.raises(ValueError, match="^seed must"):
+            run(VoaConfig(max_iterations=1), objective, seed=seed)
+        assert calls == []
+
+    def test_a_seed_is_not_configuration(self):
+        with pytest.raises(TypeError, match="seed"):
+            VoaConfig(seed=1)
 
     @pytest.mark.parametrize("value", [True, np.False_, "0.5", None, 1j])
     def test_as_real_rejects_bools_and_non_reals_by_name(self, value):
@@ -202,7 +216,6 @@ _GIVEN = st.fixed_dictionaries({}, optional={
     "max_vorticity": st.floats(0.25, 9.0),
     "min_vorticity": st.floats(-9.0, -0.25),
     "elimination_threshold": st.integers(0, 60),
-    "seed": st.integers(0, 2**64 - 1),
     "pull_epsilon": st.floats(1e-12, 1.0),
     "target_fitness": st.floats(allow_nan=False),
 })
@@ -305,16 +318,16 @@ class TestVoaConfig:
         {"max_vorticity": -2.0},
         {"pull_epsilon": 0.0},
         {"pull_epsilon": -1e-9},
-        {"seed": -3},
-        {"seed": 2**64},
+        {"min_vorticity": 0.0},
+        {"max_vorticity": 0.0},
         {"initial_vorticity": float("nan")},
         {"initial_vorticity": float("inf")},
         {"max_vorticity": float("inf")},
         {"min_vorticity": float("-inf")},
         {"pull_epsilon": float("inf")},
-        {"seed": 1.5},
-        {"seed": "3"},
-        {"seed": True},
+        {"pull_epsilon": float("nan")},
+        {"max_iterations": "10"},
+        {"max_iterations": None},
         {"max_iterations": 2.5},
         {"n_particles": 50.0},
         {"elimination_threshold": False},
@@ -325,7 +338,7 @@ class TestVoaConfig:
             VoaConfig(**kwargs)
 
     @pytest.mark.parametrize("field,value", [
-        ("seed", 1.5), ("seed", "3"), ("seed", True), ("n_particles", 50.0),
+        ("n_particles", 50.0),
         ("max_iterations", 2.5), ("elimination_threshold", 2.5),
     ])
     def test_non_integer_field_named_in_error(self, field, value):
@@ -364,10 +377,12 @@ class TestVoaConfig:
             VoaConfig(per_coordinate_draws=True)
 
     def test_numpy_integers_accepted_as_int(self):
-        config = VoaConfig(seed=np.int64(3), n_particles=np.int32(20),
-                           elimination_threshold=np.uint8(5))
-        assert (config.seed, config.n_particles, config.elimination_threshold) == (3, 20, 5)
-        assert type(config.seed) is int and type(config.n_particles) is int
+        config = VoaConfig(n_particles=np.int32(20), elimination_threshold=np.uint8(5),
+                           max_iterations=np.int64(0))
+        assert (config.n_particles, config.elimination_threshold) == (20, 5)
+        assert type(config.n_particles) is int and type(config.max_iterations) is int
+        report = run(config, get_objective("booth", 2), np.int64(3))
+        assert report.seed == 3 and type(report.seed) is int
 
     def test_initial_vorticity_outside_clamp_accepted(self):
         assert VoaConfig(initial_vorticity=100.0).initial_vorticity == 100.0

@@ -82,7 +82,7 @@ class TestInitializeSwarm:
 
     def test_evaluation_count(self):
         objective = get_objective("sphere", 2)
-        assert run(VoaConfig(max_iterations=0, seed=2), objective).evaluations == 50
+        assert run(VoaConfig(max_iterations=0), objective, 2).evaluations == 50
 
 
 class TestMarkVortices:
@@ -236,8 +236,8 @@ class TestEliminateAndRespawn:
 class TestRun:
     def test_zero_iterations_returns_initialization_best(self):
         objective = get_objective("sphere", 2)
-        config = VoaConfig(max_iterations=0, seed=11)
-        report = run(config, objective)
+        config = VoaConfig(max_iterations=0)
+        report = run(config, objective, 11)
         fresh = initialize_swarm(config, objective, RandomSource(11))
         assert report.best_fitness == fresh.fitness[fresh.best_index]
         np.testing.assert_array_equal(report.best_position, fresh.positions[fresh.best_index])
@@ -246,7 +246,7 @@ class TestRun:
 
     def test_trace_starts_at_initialization(self):
         objective = get_objective("sphere", 2)
-        report = run(VoaConfig(max_iterations=20, seed=2), objective)
+        report = run(VoaConfig(max_iterations=20), objective, 2)
         trace = report.trace
         assert trace.iteration[0] == 0
         assert trace.vortex_count[0] == 1
@@ -256,7 +256,7 @@ class TestRun:
 
     def test_early_stopped_trace_holds_only_the_rows_that_ran(self):
         objective = get_objective("booth", 2)
-        report = run(VoaConfig(max_iterations=5000, seed=11, target_fitness=1e-8), objective)
+        report = run(VoaConfig(max_iterations=5000, target_fitness=1e-8), objective, 11)
         assert 0 < report.iterations < 5000
         for column in ("iteration", "best_fitness_so_far", "mean_fitness", "vortex_count",
                        "eliminations_triggered", "non_finite_evals"):
@@ -266,9 +266,9 @@ class TestRun:
 
     def test_same_seed_identical_reports(self):
         objective = get_objective("rosenbrock", 5)
-        config = VoaConfig(max_iterations=150, seed=13)
-        a = run(config, objective)
-        b = run(config, objective)
+        config = VoaConfig(max_iterations=150)
+        a = run(config, objective, 13)
+        b = run(config, objective, 13)
         assert a.best_fitness == b.best_fitness
         np.testing.assert_array_equal(a.best_position, b.best_position)
         assert a.evaluations == b.evaluations
@@ -278,14 +278,14 @@ class TestRun:
 
     def test_different_seeds_differ(self):
         objective = get_objective("sphere", 2)
-        a = run(VoaConfig(max_iterations=50, seed=1), objective)
-        b = run(VoaConfig(max_iterations=50, seed=2), objective)
+        a = run(VoaConfig(max_iterations=50), objective, 1)
+        b = run(VoaConfig(max_iterations=50), objective, 2)
         assert a.best_fitness != b.best_fitness
 
     def test_report_bookkeeping(self):
         objective = get_objective("sphere", 3)
-        config = VoaConfig(max_iterations=100, seed=5)
-        report = run(config, objective)
+        config = VoaConfig(max_iterations=100)
+        report = run(config, objective, 5)
         assert report.function == "sphere"
         assert report.dimension == 3
         assert report.seed == 5
@@ -297,26 +297,26 @@ class TestRun:
 
     def test_best_fitness_monotone_in_trace(self):
         objective = get_objective("rosenbrock", 2)
-        report = run(VoaConfig(max_iterations=300, seed=8), objective)
+        report = run(VoaConfig(max_iterations=300), objective, 8)
         best = report.trace.best_fitness_so_far
         assert np.all(np.diff(best) <= 0.0)
 
     def test_target_fitness_stops_early(self):
         objective = get_objective("sphere", 2)
-        config = VoaConfig(max_iterations=5000, seed=3, target_fitness=1e-3)
-        report = run(config, objective)
+        config = VoaConfig(max_iterations=5000, target_fitness=1e-3)
+        report = run(config, objective, 3)
         assert report.iterations < 5000
         assert report.best_fitness <= 1e-3
         assert len(report.trace) == report.iterations + 1
 
     @pytest.mark.parametrize("config", [
-        VoaConfig(max_iterations=40, seed=3),
-        VoaConfig(max_iterations=5000, seed=3, target_fitness=1e-3),
+        VoaConfig(max_iterations=40),
+        VoaConfig(max_iterations=5000, target_fitness=1e-3),
     ])
     def test_trace_mean_is_population_mean_after_each_iteration(self, config):
         objective = get_objective("sphere", 2)
-        report = run(config, objective)
-        rng = RandomSource(config.seed)
+        report = run(config, objective, 3)
+        rng = RandomSource(3)
         state = initialize_swarm(config, objective, rng)
         means = [state.fitness.mean()]
         for _ in range(report.iterations):
@@ -326,8 +326,8 @@ class TestRun:
 
     def test_initial_vorticity_outside_clamp_clamped_by_kick_and_pull(self):
         objective = get_objective("sphere", 2)
-        config = VoaConfig(initial_vorticity=100.0, seed=2)
-        rng = RandomSource(config.seed)
+        config = VoaConfig(initial_vorticity=100.0)
+        rng = RandomSource(2)
         state = initialize_swarm(config, objective, rng)
         assert state.best_vorticity == config.max_vorticity
         advance_iteration(state, config, objective, rng)
@@ -364,7 +364,7 @@ class TestIterationContract:
     ])
     def test_iteration_consumes_the_stream_layout(self, monkeypatch, name, dimension, kwargs,
                                                   case):
-        config = VoaConfig(seed=21, **kwargs)
+        config = VoaConfig(**kwargs)
         if name == "flat":
             objective = Objective(name="flat", bounds=((-1.0, 1.0),) * dimension,
                                   evaluate=lambda X: np.zeros(X.shape[:-1]))
@@ -394,21 +394,21 @@ class TestIterationContract:
 
         monkeypatch.setattr(engine, "mark_vortices", mark)
         monkeypatch.setattr(engine, "eliminate_and_respawn", eliminate)
-        rng = RandomSource(config.seed)
+        rng = RandomSource(21)
         state = initialize_swarm(config, objective, rng)
         used = n * dimension + 1
         for it in range(8):
             advance_iteration(state, config, objective, rng)
             used += n + (vortices[it] - 1) + (n - 1) * dimension + respawned[it] * dimension
             # The next draw is the one right after the counted ones.
-            assert rng.uniform_unit_batch(1)[0] == splitmix64_units(config.seed, used + 1)[-1]
+            assert rng.uniform_unit_batch(1)[0] == splitmix64_units(21, used + 1)[-1]
             used += 1
         assert case is None or case in hit
 
     def test_stages_called_through_module_globals(self, monkeypatch):
-        config = VoaConfig(seed=5)
+        config = VoaConfig()
         objective = get_objective("booth", 2)
-        rng = RandomSource(config.seed)
+        rng = RandomSource(5)
         state = initialize_swarm(config, objective, rng)
         calls = {name: [] for name in STAGES}
         for name in STAGES:
@@ -436,9 +436,9 @@ class TestWrapperFreePath:
         # numpy's Python-level wrappers (ndarray.clip -> _methods._clip,
         # ndarray.min -> _methods._amin, np.sum -> fromnumeric.sum) cost
         # microseconds per call on swarm-sized arrays; the stages call ufuncs.
-        config = VoaConfig(seed=3)
+        config = VoaConfig()
         objective = get_objective(name, dimension)
-        rng = RandomSource(config.seed)
+        rng = RandomSource(3)
         state = initialize_swarm(config, objective, rng)
         entered = set()
 

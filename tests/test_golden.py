@@ -34,23 +34,23 @@ def _objective(name, dimension):
     return get_objective(name, dimension)
 
 
-# (case id, function, dimension, VoaConfig keyword arguments)
+# (case id, function, dimension, seed, VoaConfig keyword arguments)
 CASES = [
-    ("booth", "booth", 2, {"max_iterations": 300, "seed": 1}),
-    ("beale", "beale", 2, {"max_iterations": 300, "seed": 2}),
-    ("goldstein_price", "goldstein_price", 2, {"max_iterations": 300, "seed": 3}),
-    ("mccormick", "mccormick", 2, {"max_iterations": 300, "seed": 4}),
-    ("three_hump_camel", "three_hump_camel", 2, {"max_iterations": 300, "seed": 5}),
-    ("sphere_d10", "sphere", 10, {"max_iterations": 200, "seed": 6}),
-    ("sphere_d30", "sphere", 30, {"max_iterations": 150, "seed": 7}),
-    ("rosenbrock_d10", "rosenbrock", 10, {"max_iterations": 200, "seed": 8}),
-    ("rosenbrock_d30", "rosenbrock", 30, {"max_iterations": 150, "seed": 9}),
-    ("target_stop", "booth", 2, {"max_iterations": 300, "seed": 11, "target_fitness": 1e-8}),
-    ("small_swarm", "sphere", 10,
-     {"max_iterations": 300, "seed": 12, "n_particles": 20, "elimination_threshold": 5}),
-    ("kicked_vorticity", "goldstein_price", 2,
-     {"max_iterations": 300, "seed": 13, "initial_vorticity": 9.0}),
-    ("non_finite", "patchy", 2, {"max_iterations": 300, "seed": 14}),
+    ("booth", "booth", 2, 1, {"max_iterations": 300}),
+    ("beale", "beale", 2, 2, {"max_iterations": 300}),
+    ("goldstein_price", "goldstein_price", 2, 3, {"max_iterations": 300}),
+    ("mccormick", "mccormick", 2, 4, {"max_iterations": 300}),
+    ("three_hump_camel", "three_hump_camel", 2, 5, {"max_iterations": 300}),
+    ("sphere_d10", "sphere", 10, 6, {"max_iterations": 200}),
+    ("sphere_d30", "sphere", 30, 7, {"max_iterations": 150}),
+    ("rosenbrock_d10", "rosenbrock", 10, 8, {"max_iterations": 200}),
+    ("rosenbrock_d30", "rosenbrock", 30, 9, {"max_iterations": 150}),
+    ("target_stop", "booth", 2, 11, {"max_iterations": 300, "target_fitness": 1e-8}),
+    ("small_swarm", "sphere", 10, 12,
+     {"max_iterations": 300, "n_particles": 20, "elimination_threshold": 5}),
+    ("kicked_vorticity", "goldstein_price", 2, 13,
+     {"max_iterations": 300, "initial_vorticity": 9.0}),
+    ("non_finite", "patchy", 2, 14, {"max_iterations": 300}),
 ]
 
 TRACE_COLUMNS = (
@@ -71,8 +71,8 @@ def digest(report) -> tuple:
     return repr(report.best_fitness), report.evaluations, report.iterations, h.hexdigest()
 
 
-def run_case(function, dimension, kwargs):
-    return run(VoaConfig(**kwargs), _objective(function, dimension))
+def run_case(function, dimension, seed, kwargs):
+    return run(VoaConfig(**kwargs), _objective(function, dimension), seed)
 
 
 # Recorded with the engine before its iteration glue was cut.
@@ -108,8 +108,8 @@ GOLDEN = {
 
 @pytest.mark.parametrize("case", [c[0] for c in CASES])
 def test_output_matches_golden(case):
-    _, function, dimension, kwargs = next(c for c in CASES if c[0] == case)
-    assert digest(run_case(function, dimension, kwargs)) == GOLDEN[case]
+    _, function, dimension, seed, kwargs = next(c for c in CASES if c[0] == case)
+    assert digest(run_case(function, dimension, seed, kwargs)) == GOLDEN[case]
 
 
 def test_cases_cover_the_intended_behaviour():

@@ -57,13 +57,14 @@ def fake_report(function, dimension, seed, best, error=None):
         function=function, dimension=dimension, seed=seed,
         best_fitness=best, best_position=np.zeros(dimension),
         evaluations=100, iterations=10, wall_time_ms=1.0,
-        config=VoaConfig(seed=seed), trace=None, error=error,
+        config=VoaConfig(), trace=None, error=error,
     )
 
 
 class TestMakePlan:
     def test_seed_override_rejected_in_favour_of_the_plan_seeds(self, tmp_path):
-        with pytest.raises(ValueError, match="cannot set the seed; use base_seed and seed_count"):
+        with pytest.raises(ValueError, match="^config_overrides cannot set seed: no such "
+                           "VoaConfig field$"):
             make_plan(functions=["booth"], seed_count=2, config_overrides={"seed": 99},
                       out_dir=tmp_path)
 
@@ -289,6 +290,29 @@ class TestPlanBoundary:
         assert again == plan and type(again.dimensions) is MappingProxyType
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replace the process pool with one that maps in this process; returns the
+    list of the sizes of the pools started."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
 class TestExecutePlan:
     def test_cardinality_and_order(self, tmp_path):
         plan = small_plan(tmp_path)
@@ -339,8 +363,8 @@ class TestExecutePlan:
         assert all(r.error is None for r in beale_reports)
         failed = booth_reports[1]
         assert failed.error == "RuntimeError: objective exploded"
-        assert (failed.dimension, failed.seed, failed.config) == (2, 2, dataclasses.replace(
-            plan.config, seed=2))
+        assert (failed.dimension, failed.seed) == (2, 2)
+        assert failed.config == plan.config
         assert failed.best_position.shape == (0,)
         assert (failed.evaluations, failed.iterations, failed.wall_time_ms) == (0, 0, 0.0)
         assert failed.trace is None
@@ -381,29 +405,23 @@ class TestExecutePlan:
             execute_plan(small_plan(tmp_path), jobs=jobs)
 
     @pytest.mark.parametrize("jobs,seed_count,pools", [(8, 2, [2]), (1, 2, []), (8, 1, [])])
-    def test_the_pool_has_at_most_one_worker_per_run(self, tmp_path, monkeypatch, jobs,
+    def test_the_pool_has_at_most_one_worker_per_run(self, tmp_path, recording_pool, jobs,
                                                      seed_count, pools):
-        started = []
-
-        class RecordingPool:  # records its size and maps in this process
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         plan = small_plan(tmp_path, functions=["booth"], seed_count=seed_count)
         reports = execute_plan(plan, jobs=jobs)
-        assert started == pools
+        assert recording_pool == pools
         assert [r.seed for r in reports] == list(range(1, seed_count + 1))
         assert all(r.error is None for r in reports)
+
+    @pytest.mark.parametrize("jobs,pools", [(1, []), (2, [2])])
+    def test_every_report_echoes_the_plan_config_and_its_seed(self, tmp_path, recording_pool,
+                                                              jobs, pools):
+        plan = small_plan(tmp_path, base_seed=5, seed_count=2)
+        reports = execute_plan(plan, jobs=jobs)
+        assert recording_pool == pools
+        assert [(r.function, r.seed) for r in reports] == [
+            (name, seed) for name, _ in plan.cells() for seed in plan.seeds]
+        assert all(r.error is None and r.config == plan.config for r in reports)
 
     def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
@@ -539,8 +557,8 @@ class TestWriteReports:
         objective = Objective(
             name="patchy", bounds=((-1.0, 1.0), (-1.0, 1.0)),
             evaluate=rowwise(lambda x: float(x @ x) if x[0] < 0.5 else float("nan")))
-        config = VoaConfig(n_particles=12, max_iterations=30, elimination_threshold=3, seed=4)
-        report = run(config, objective)
+        config = VoaConfig(n_particles=12, max_iterations=30, elimination_threshold=3)
+        report = run(config, objective, 4)
         path = write_trace(report, tmp_path)
         assert path == tmp_path / "patchy_d2_s4.csv"
         with path.open(newline="") as fh:
@@ -693,6 +711,13 @@ class TestWriteReports:
         assert payload["cells"] == [["booth", 2], ["beale", 2]]
         assert {row["function"] for row in payload["rows"]} == {"booth", "beale"}
 
+    def test_summary_json_records_the_plan_seeds_and_no_config_seed(self, tmp_path):
+        plan = small_plan(tmp_path, base_seed=5, seed_count=2)
+        payload = json.loads(write_reports([], [], plan)["summary_json"].read_text())
+        assert "seed" not in payload["config"]
+        assert payload["config"] == plan.config.resolved()
+        assert payload["seeds"] == [5, 6]
+
     def test_read_plan_rebuilds_the_written_plan(self, tmp_path):
         plan = make_plan(functions=["sphere", "booth"], dims=[5, 2], seed_count=2, base_seed=4,
                          config_overrides={"n_particles": 12, "target_fitness": 1e-8},
@@ -712,7 +737,9 @@ class TestWriteReports:
         ([["nope", 2]], "unknown benchmark 'nope'"),
         ([["booth", 3]], "benchmark 'booth' supports only dimension 2, got 3"),
         ([["sphere", 2.5]], "dimension must be an integer, got 2.5"),
-        ([["sphere", 2], ["sphere", 2]], "dimensions of 'sphere' must be pairwise distinct")])
+        ([["sphere", 2], ["sphere", 2]], "dimensions of 'sphere' must be pairwise distinct"),
+        ([["sphere", 2], ["rosenbrock", 2], ["sphere", 5]],
+         "cells must list each function's dimensions together, as run writes them")])
     def test_read_plan_names_a_bad_cell(self, tmp_path, cells, named):
         path = write_reports([], [], small_plan(tmp_path))["summary_json"]
         path.write_text(json.dumps({**json.loads(path.read_text()), "cells": cells}))

@@ -110,16 +110,16 @@ class TestRuleProperties:
 class TestFullRunInvariants:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_sphere_run_respects_all_invariants(self, seed):
-        config = VoaConfig(max_iterations=120, seed=seed)
+        config = VoaConfig(max_iterations=120)
         objective = get_objective("sphere", 5)
-        eliminations = run_with_invariant_checks(config, objective)
+        eliminations = run_with_invariant_checks(config, objective, seed)
         # default settings respawn every iteration
         assert eliminations == config.max_iterations
 
     def test_mccormick_asymmetric_box_containment(self):
-        config = VoaConfig(max_iterations=80, seed=6)
-        run_with_invariant_checks(config, get_objective("mccormick", 2))
+        config = VoaConfig(max_iterations=80)
+        run_with_invariant_checks(config, get_objective("mccormick", 2), 6)
 
     def test_small_elimination_threshold_invariants(self):
-        config = VoaConfig(max_iterations=120, seed=9, elimination_threshold=5)
-        run_with_invariant_checks(config, get_objective("sphere", 2))
+        config = VoaConfig(max_iterations=120, elimination_threshold=5)
+        run_with_invariant_checks(config, get_objective("sphere", 2), 9)

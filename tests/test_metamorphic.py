@@ -44,9 +44,8 @@ def problems(draw):
     else:
         dimension = draw(st.integers(spec.min_dimension, 6))
     config = VoaConfig(n_particles=draw(st.integers(2, 50)),
-                       max_iterations=draw(st.integers(0, 60)),
-                       seed=draw(st.integers(0, 2**64 - 1)))
-    return get_objective(name, dimension), config
+                       max_iterations=draw(st.integers(0, 60)))
+    return get_objective(name, dimension), config, draw(st.integers(0, 2**64 - 1))
 
 
 @st.composite
@@ -71,11 +70,11 @@ def _outcome(report):
 @settings(max_examples=40, deadline=None)
 @given(cases())
 def test_value_scaling_scales_the_fitness_exactly(case):
-    objective, config, k = case
+    objective, config, seed, k = case
     batch = get_spec(objective.name).batch
     scaled = Objective(name=objective.name, bounds=objective.bounds,
                        evaluate=lambda X: 2.0**k * batch(X))
-    base, got = run(config, objective), run(config, scaled)
+    base, got = run(config, objective, seed), run(config, scaled, seed)
     assert got.best_fitness == 2.0**k * base.best_fitness
     np.testing.assert_array_equal(got.trace.best_fitness_so_far,
                                   2.0**k * base.trace.best_fitness_so_far)
@@ -90,12 +89,12 @@ def test_value_scaling_scales_the_fitness_exactly(case):
 @settings(max_examples=40, deadline=None)
 @given(cases())
 def test_box_scaling_scales_the_best_position_exactly(case):
-    objective, config, k = case
+    objective, config, seed, k = case
     batch = get_spec(objective.name).batch
     scaled = Objective(name=objective.name,
                        bounds=[(2.0**k * lo, 2.0**k * hi) for lo, hi in objective.bounds],
                        evaluate=lambda X: batch(X / 2.0**k))
-    base, got = run(config, objective), run(config, scaled)
+    base, got = run(config, objective, seed), run(config, scaled, seed)
     assert got.best_fitness == base.best_fitness
     np.testing.assert_array_equal(got.best_position, 2.0**k * base.best_position)
     np.testing.assert_array_equal(got.trace.best_fitness_so_far, base.trace.best_fitness_so_far)
@@ -109,10 +108,10 @@ def test_box_scaling_scales_the_best_position_exactly(case):
 @settings(max_examples=40, deadline=None)
 @given(problems(), st.data())
 def test_a_shorter_run_is_a_prefix_of_a_longer_one(problem, data):
-    objective, config = problem
-    full = run(config, objective)
+    objective, config, seed = problem
+    full = run(config, objective, seed)
     k = data.draw(st.integers(0, config.max_iterations), label="k")
-    short = run(replace(config, max_iterations=k), objective)
+    short = run(replace(config, max_iterations=k), objective, seed)
     assert short.iterations == k
     assert _columns(short.trace) == _columns(full.trace, k + 1)
 
@@ -120,14 +119,14 @@ def test_a_shorter_run_is_a_prefix_of_a_longer_one(problem, data):
 @settings(max_examples=40, deadline=None)
 @given(problems(), st.data())
 def test_a_target_stop_is_the_truncation_at_the_first_row_that_reaches_it(problem, data):
-    objective, config = problem
-    full = run(config, objective)
+    objective, config, seed = problem
+    full = run(config, objective, seed)
     best = full.trace.best_fitness_so_far
     target = data.draw(st.sampled_from(best.tolist()) | st.sampled_from([1e-3, 1e-8, -1.0])
                        | st.floats(allow_nan=False), label="target")
     reached = np.flatnonzero(best[1:] <= target)
     k = int(reached[0]) + 1 if reached.size else config.max_iterations
-    stopped = run(replace(config, target_fitness=target), objective)
-    truncated = run(replace(config, max_iterations=k), objective)
+    stopped = run(replace(config, target_fitness=target), objective, seed)
+    truncated = run(replace(config, max_iterations=k), objective, seed)
     assert _outcome(stopped) == _outcome(truncated)
     assert _columns(truncated.trace) == _columns(full.trace, k + 1)

@@ -30,13 +30,13 @@ PATCHED = (engine, harness, cli, core.RandomSource, core.Objective)
 
 
 def test_traced_run_counts_the_stream_layout_and_restores():
-    config = VoaConfig(seed=3, max_iterations=5)
+    config = VoaConfig(max_iterations=5)
     objective = get_objective("booth", 2)
     before = [dict(vars(owner)) for owner in PATCHED]
     tracer = tracing.Tracer()
     tracing.install(tracer)
     try:
-        traced = engine.run(config, objective)
+        traced = engine.run(config, objective, 3)
     finally:
         tracer.restore()
 
@@ -48,7 +48,7 @@ def test_traced_run_counts_the_stream_layout_and_restores():
         after = vars(owner)
         assert after.keys() == attrs.keys()
         assert all(after[name] is value for name, value in attrs.items()), owner
-    plain = engine.run(config, objective)
+    plain = engine.run(config, objective, 3)
     assert traced.best_fitness == plain.best_fitness
     assert np.array_equal(traced.best_position, plain.best_position)
 

@@ -54,11 +54,10 @@ def cases(draw):
         max_vorticity=draw(st.floats(0.25, 9.0)),
         min_vorticity=draw(st.floats(-9.0, -0.25)),
         elimination_threshold=draw(st.integers(0, n)),
-        seed=draw(st.integers(0, 2**64 - 1)),
         pull_epsilon=draw(st.sampled_from([1e-9, 0.05, 0.5])),
         target_fitness=draw(st.none() | st.sampled_from([0.0, 1e-6, 1.0, 4.0, 50.0])),
     )
-    return config, _objective(name, dimension)
+    return config, _objective(name, dimension), draw(st.integers(0, 2**64 - 1))
 
 
 def _bits(values):
@@ -68,9 +67,9 @@ def _bits(values):
 @settings(max_examples=300, deadline=None)
 @given(case=cases())
 def test_run_matches_reference_engine(case):
-    config, objective = case
-    got = run(config, objective)
-    want = reference_run(config, objective)
+    config, objective, seed = case
+    got = run(config, objective, seed)
+    want = reference_run(config, objective, seed)
     assert _bits(got.best_fitness) == _bits(want["best_fitness"])
     assert _bits(got.best_position) == _bits(want["best_position"])
     assert got.evaluations == want["evaluations"]
