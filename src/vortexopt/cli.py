@@ -57,13 +57,10 @@ RUN_SETTINGS = {s.flag: s for s in (
     Setting("particles", int, "n_particles", "population size (default {default})"),
     Setting("iterations", int, "max_iterations", "iteration budget (default {default})"),
     Setting("init-vorticity", float, "initial_vorticity", "initial vorticity (default {default})"),
-    Setting("max-vorticity", float, "max_vorticity", "vorticity upper clamp (default {default})"),
-    Setting("min-vorticity", float, "min_vorticity",
-            "vorticity lower clamp (default: negated upper clamp)"),
+    Setting("max-vorticity", float, "max_vorticity",
+            "vorticity limit v; vorticity is clamped to [-v, v] (default {default})"),
     Setting("elimination", int, "elimination_threshold", "respawn all normal particles when "
             "their count is at or below this (default: the population size)"),
-    Setting("pull-epsilon", float, "pull_epsilon",
-            "divisor guard in the vorticity pull (default {default:g})"),
     Setting("target-fitness", float, "target_fitness",
             "stop a run early once the best reaches this value"),
     Setting("jobs", int, None, "parallel runs, at least 1 (default: usable CPUs)"),

@@ -145,9 +145,9 @@ class VoaConfig:
     """Run configuration.
 
     Defaults follow the standard benchmark setup: 50 particles, 5000
-    iterations, initial vorticity 0.5 clamped to [-7, 7], and an elimination
-    threshold equal to the population size (so every below-average particle is
-    respawned each iteration).
+    iterations, initial vorticity 0.5 clamped to [-max_vorticity, max_vorticity]
+    = [-7, 7], and an elimination threshold equal to the population size (so
+    every below-average particle is respawned each iteration).
 
     ``per_coordinate_draws`` records, for ``summary.json`` and the benchmark's
     tracer, that the position update takes one draw per coordinate; it is
@@ -157,11 +157,11 @@ class VoaConfig:
     integers (Python or numpy, stored as ``int``); floats, strings and
     bools are rejected. The other numeric fields are reals, stored as ``float``.
 
-    ``min_vorticity`` and ``elimination_threshold`` keep what the caller gave,
-    None meaning "derive", so ``replace`` keeps it and equality compares it;
-    ``v_min``, ``threshold`` and ``resolved()`` read the values a run uses.
+    ``elimination_threshold`` keeps what the caller gave, None meaning
+    "derive", so ``replace`` keeps it and equality compares it; ``threshold``
+    and ``resolved()`` read the value a run uses.
 
-    ``initial_vorticity`` may lie outside ``[min_vorticity, max_vorticity]``:
+    ``initial_vorticity`` may lie outside ``[-max_vorticity, max_vorticity]``:
     the one-time kick clamps the initial best particle's value, and the first
     vorticity pull a particle goes through (respawned particles included)
     clamps its value.
@@ -171,9 +171,7 @@ class VoaConfig:
     max_iterations: int = 5000
     initial_vorticity: float = 0.5
     max_vorticity: float = 7.0
-    min_vorticity: Optional[float] = None
     elimination_threshold: Optional[int] = None
-    pull_epsilon: float = 1e-9
     per_coordinate_draws: bool = field(default=True, init=False)
     target_fitness: Optional[float] = None
 
@@ -182,11 +180,9 @@ class VoaConfig:
                               ("max_iterations", lambda n, v: as_integer(n, v, minimum=0)),
                               ("elimination_threshold", as_integer),
                               ("initial_vorticity", as_real), ("max_vorticity", as_real),
-                              ("min_vorticity", as_real), ("pull_epsilon", as_real),
                               ("target_fitness", as_real)):
             value = getattr(self, name)
-            if value is None and name in ("min_vorticity", "elimination_threshold",
-                                          "target_fitness"):
+            if value is None and name in ("elimination_threshold", "target_fitness"):
                 continue
             value = convert(name, value)
             if convert is as_real and name != "target_fitness" and not math.isfinite(value):
@@ -194,19 +190,11 @@ class VoaConfig:
             object.__setattr__(self, name, value)
         if self.target_fitness is not None and math.isnan(self.target_fitness):
             raise ValueError("target_fitness must not be NaN")
-        if not (self.v_min < 0.0 < self.max_vorticity):
-            raise ValueError("vorticity limits must straddle zero: "
-                             f"got min={self.v_min}, max={self.max_vorticity}")
+        if not self.max_vorticity > 0.0:
+            raise ValueError(f"max_vorticity must be > 0, got {self.max_vorticity}")
         if not 0 <= self.threshold <= self.n_particles:
             raise ValueError("elimination_threshold must lie in [0, n_particles], got "
                              f"{self.threshold} with n_particles={self.n_particles}")
-        if not self.pull_epsilon > 0.0:
-            raise ValueError(f"pull_epsilon must be > 0, got {self.pull_epsilon}")
-
-    @property
-    def v_min(self) -> float:
-        """The vorticity lower clamp: ``min_vorticity``, else ``-max_vorticity``."""
-        return -self.max_vorticity if self.min_vorticity is None else self.min_vorticity
 
     @property
     def threshold(self) -> int:
@@ -215,9 +203,8 @@ class VoaConfig:
         return self.n_particles if threshold is None else threshold
 
     def resolved(self) -> dict:
-        """``asdict`` with ``v_min`` and ``threshold`` under the two fields' names."""
-        return {**asdict(self), "min_vorticity": self.v_min,
-                "elimination_threshold": self.threshold}
+        """``asdict`` with ``threshold`` as ``elimination_threshold``."""
+        return {**asdict(self), "elimination_threshold": self.threshold}
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,9 @@ __all__ = [
     "run",
 ]
 
+# The pull divides by a particle's vorticity; this floor on its magnitude keeps the step finite.
+_PULL_EPSILON = 1e-9
+
 
 @dataclass(eq=False)
 class RunTrace:
@@ -149,7 +152,7 @@ def initialize_swarm(config: VoaConfig, objective: Objective, rng: RandomSource)
     best_index = int(fitness.argmin())
     r = float(rng.uniform_unit_batch(1)[0])
     vorticity[best_index] = float(
-        vorticity_kick(vorticity[best_index], r, config.v_min, config.max_vorticity)
+        vorticity_kick(vorticity[best_index], r, -config.max_vorticity, config.max_vorticity)
     )
     is_vortex = np.zeros(n, dtype=bool)
     is_vortex[best_index] = True
@@ -239,7 +242,7 @@ def advance_iteration(state: SwarmState, config: VoaConfig, objective: Objective
 
     # Vorticity pull toward the record, every particle including the holder.
     state.vorticity = vorticity_pull(state.vorticity, state.best_vorticity, draws[:n],
-                                     config.pull_epsilon, config.v_min, config.max_vorticity)
+                                     _PULL_EPSILON, -config.max_vorticity, config.max_vorticity)
 
     # Decay for vortex particles other than the record holder.
     decaying = state.is_vortex.copy()

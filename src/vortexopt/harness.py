@@ -346,8 +346,9 @@ def write_reports(reports, summaries, plan: ExperimentPlan) -> dict:
 def read_plan(path) -> ExperimentPlan:
     """Rebuild the plan ``write_reports`` recorded in ``summary.json`` through ``VoaConfig``
     and ``ExperimentPlan``, with the file's directory as ``out_dir``. A missing file,
-    invalid JSON, a missing or bad entry, or cells in an order no plan holds raises
-    one ValueError naming the file."""
+    invalid JSON, a missing or bad entry, a config other than the one ``write_reports``
+    writes for the plan, or cells in an order no plan holds raises one ValueError
+    naming the file."""
     path = Path(path)
     try:
         record = json.loads(path.read_text(encoding="utf-8"))
@@ -358,6 +359,12 @@ def read_plan(path) -> ExperimentPlan:
         dimensions = {f: [d for g, d in cells if g == f] for f, _ in cells}
         plan = ExperimentPlan(dimensions, record["seeds"], out_dir=path.parent, config=VoaConfig(
             **{name: record["config"][name] for name in _SETTABLE}))
+        # As JSON text, so 7 and 7.0, or 1 and true, differ as the bytes run writes do.
+        got, want = ({key: json.dumps(value) for key, value in config.items()}
+                     for config in (record["config"], plan.config.resolved()))
+        if wrong := [f"{key}={got.get(key, 'missing')}" for key in {**got, **want}
+                     if got.get(key) != want.get(key)]:
+            raise ValueError(f"config {', '.join(wrong)} is not what run writes")
         if plan.cells() != [tuple(c) for c in cells]:  # grouping by function reordered them
             raise ValueError("cells must list each function's dimensions together, as run "
                              "writes them")

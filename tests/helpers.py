@@ -79,7 +79,7 @@ def run_with_invariant_checks(config: VoaConfig, objective, seed=1):
 
     def vorticity_pull(*args):
         pulled = real["vorticity_pull"](*args)
-        assert np.all(pulled >= config.v_min)
+        assert np.all(pulled >= -config.max_vorticity)
         assert np.all(pulled <= config.max_vorticity)
         return pulled
 

@@ -126,7 +126,7 @@ def reference_run(config, objective, seed):
     """
     n, d = config.n_particles, objective.dimension
     lower, upper = [float(b[0]) for b in objective.bounds], [float(b[1]) for b in objective.bounds]
-    v_min, v_max = config.v_min, config.max_vorticity
+    v_min, v_max = -config.max_vorticity, config.max_vorticity
     stream = _Stream(seed)
 
     def box_points(count):
@@ -161,7 +161,7 @@ def reference_run(config, objective, seed):
         vortex = [fit[i] <= mean or i == holder for i in range(n)]
 
         # 2. Pull every vorticity toward the record's.
-        eps = config.pull_epsilon
+        eps = 1e-9  # the engine's divisor guard, written out
         for i, r in enumerate(stream.take(n)):
             v = vort[i]
             guarded = v if abs(v) >= eps else (eps if v >= 0.0 else -eps)

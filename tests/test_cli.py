@@ -47,9 +47,7 @@ SAMPLES = {
     "iterations": ["40"],
     "init-vorticity": ["0.25"],
     "max-vorticity": ["3.5"],
-    "min-vorticity": ["-2.5"],
     "elimination": ["6"],
-    "pull-epsilon": ["1e-6"],
     "target-fitness": ["1e-8"],
     "jobs": ["2"],
     "out": ["res"],
@@ -109,7 +107,6 @@ class TestParsePlan:
         assert config.max_iterations == 100
         assert config.initial_vorticity == 0.25
         assert config.max_vorticity == 3.0
-        assert config.v_min == -3.0
         assert config.threshold == 4
         assert plan.seeds == (50, 51)
         assert jobs == 2
@@ -182,6 +179,14 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=re.escape(f"{cfg}:2: unknown key 'draw-mode'")):
             load_config_file(cfg)
 
+    @pytest.mark.parametrize("line", ["pull-epsilon = 1e-6", "min-vorticity = -2"])
+    def test_fixed_engine_constant_is_an_unknown_key(self, tmp_path, line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(line + "\n")
+        key = line.split(" ")[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{cfg}:1: unknown key {key!r}')}$"):
+            load_config_file(cfg)
+
     def test_repeated_key_names_both_lines(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("iterations = 5\nseeds = 2\n# again\niterations = 7\n")
@@ -232,6 +237,13 @@ class TestRunSettings:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments: --draw-mode" in err
+
+    @pytest.mark.parametrize("argv", [["--pull-epsilon", "1e-6"], ["--min-vorticity", "-2"]])
+    def test_fixed_engine_constant_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            parse_plan(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
 
 class TestMain:
@@ -421,6 +433,18 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.err == (f"error: {out / 'summary.json'}: max_iterations must be an "
                                 "integer, got 'abc'\n")
+        assert captured.out == ""
+
+    def test_check_refuses_a_config_run_does_not_write(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        self._write_runs(out, [("sphere", 2, s, 1e-9) for s in (1, 2)])
+        summary = json.loads((out / "summary.json").read_text())
+        summary["config"]["min_vorticity"] = -2.5
+        (out / "summary.json").write_text(json.dumps(summary))
+        assert main(["check", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {out / 'summary.json'}: config min_vorticity=-2.5 "
+                                "is not what run writes\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("entry", [None, "cells", "seeds", "config", "n_particles"])
@@ -635,8 +659,7 @@ class TestMain:
 # Configurations that differ from the default in one field.
 _ONE_FIELD_CHANGED = [{"n_particles": 12}, {"max_iterations": 40},
                       {"initial_vorticity": 0.25}, {"max_vorticity": 3.5},
-                      {"min_vorticity": -2.5}, {"elimination_threshold": 6},
-                      {"pull_epsilon": 1e-6}, {"target_fitness": 1e-8}]
+                      {"elimination_threshold": 6}, {"target_fitness": 1e-8}]
 
 
 @st.composite

@@ -197,10 +197,15 @@ class TestIntegerChecks:
         with pytest.raises(TypeError, match="seed"):
             VoaConfig(seed=1)
 
+    @pytest.mark.parametrize("name,value", [("min_vorticity", -1.0), ("pull_epsilon", 1e-6)])
+    def test_a_fixed_engine_constant_is_not_configuration(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            VoaConfig(**{name: value})
+
     @pytest.mark.parametrize("value", [True, np.False_, "0.5", None, 1j])
     def test_as_real_rejects_bools_and_non_reals_by_name(self, value):
-        with pytest.raises(ValueError, match="^pull_epsilon must be a real number"):
-            as_real("pull_epsilon", value)
+        with pytest.raises(ValueError, match="^max_vorticity must be a real number"):
+            as_real("max_vorticity", value)
 
     def test_as_real_returns_a_float(self):
         for value in (2, np.int64(2), np.float32(2.0), 2.0):
@@ -214,9 +219,7 @@ _GIVEN = st.fixed_dictionaries({}, optional={
     "max_iterations": st.integers(0, 10),
     "initial_vorticity": st.floats(-9.0, 9.0),
     "max_vorticity": st.floats(0.25, 9.0),
-    "min_vorticity": st.floats(-9.0, -0.25),
     "elimination_threshold": st.integers(0, 60),
-    "pull_epsilon": st.floats(1e-12, 1.0),
     "target_fitness": st.floats(allow_nan=False),
 })
 
@@ -228,12 +231,7 @@ class TestVoaConfig:
         assert config.max_iterations == 5000
         assert config.initial_vorticity == 0.5
         assert config.max_vorticity == 7.0
-        assert config.min_vorticity is None and config.v_min == -7.0
         assert config.elimination_threshold is None and config.threshold == 50
-
-    def test_min_vorticity_defaults_to_negated_max(self):
-        config = VoaConfig(max_vorticity=3.0)
-        assert config.min_vorticity is None and config.v_min == -3.0
 
     @pytest.mark.parametrize("n", [2, 30, 50, 80])
     def test_elimination_threshold_defaults_to_population_size(self, n):
@@ -242,22 +240,16 @@ class TestVoaConfig:
         config = VoaConfig(n_particles=n, elimination_threshold=1)
         assert config.elimination_threshold == config.threshold == 1
 
-    def test_min_vorticity_overridable(self):
-        config = VoaConfig(max_vorticity=3.0, min_vorticity=-1.0)
-        assert config.min_vorticity == config.v_min == -1.0
-
     def test_equality_compares_the_given_fields(self):
         assert VoaConfig(elimination_threshold=50) != VoaConfig()
-        assert VoaConfig(min_vorticity=-7.0) != VoaConfig()
-        assert VoaConfig(elimination_threshold=50, min_vorticity=-7.0).resolved() == \
-            VoaConfig().resolved()
+        assert VoaConfig(elimination_threshold=50).resolved() == VoaConfig().resolved()
 
     def test_resolved_is_asdict_with_the_derived_values(self):
         config = VoaConfig(n_particles=30, max_vorticity=3.0)
         resolved = config.resolved()
         assert list(resolved) == list(asdict(config))
-        assert resolved == {**asdict(config), "min_vorticity": -3.0, "elimination_threshold": 30}
-        given = VoaConfig(n_particles=30, min_vorticity=-1.0, elimination_threshold=4)
+        assert resolved == {**asdict(config), "elimination_threshold": 30}
+        given = VoaConfig(n_particles=30, elimination_threshold=4)
         assert given.resolved() == asdict(given)
 
     def test_replace_derives_a_smaller_threshold_again(self):
@@ -269,27 +261,22 @@ class TestVoaConfig:
         config = replace(VoaConfig(), n_particles=80)
         assert config.elimination_threshold is None and config.threshold == 80
 
-    def test_replace_derives_min_vorticity_again(self):
-        config = replace(VoaConfig(), max_vorticity=3.0)
-        assert config.min_vorticity is None and config.v_min == -3.0
-
     def test_replace_keeps_given_values(self):
-        config = VoaConfig(elimination_threshold=10, min_vorticity=-2.0)
+        config = VoaConfig(elimination_threshold=10)
         assert replace(config, n_particles=80, max_vorticity=3.0) == VoaConfig(
-            n_particles=80, max_vorticity=3.0, elimination_threshold=10, min_vorticity=-2.0)
-        changed = replace(VoaConfig(), elimination_threshold=20, min_vorticity=-1.0)
+            n_particles=80, max_vorticity=3.0, elimination_threshold=10)
+        changed = replace(VoaConfig(), elimination_threshold=20)
         assert replace(changed, n_particles=30, max_vorticity=3.0) == VoaConfig(
-            n_particles=30, max_vorticity=3.0, elimination_threshold=20, min_vorticity=-1.0)
+            n_particles=30, max_vorticity=3.0, elimination_threshold=20)
         assert replace(replace(VoaConfig(), n_particles=30), n_particles=40) == VoaConfig(
             n_particles=40)
 
     @settings(max_examples=100)
     @given(a=_GIVEN, b=_GIVEN)
     @example(a={}, b={"n_particles": 100, "elimination_threshold": 50})
-    @example(a={"max_vorticity": 3.0}, b={"max_vorticity": 7.0, "min_vorticity": -3.0})
     @example(a={}, b={"n_particles": 30})
     @example(a={}, b={"n_particles": 80})
-    @example(a={}, b={"max_vorticity": 3.0})
+    @example(a={"elimination_threshold": 30}, b={"n_particles": 20})
     def test_replace_is_construction_from_the_merged_values(self, a, b):
         try:
             source = VoaConfig(**a)
@@ -307,25 +294,24 @@ class TestVoaConfig:
         assert replaced.resolved() == expected.resolved()
         assert replaced.threshold == merged.get("elimination_threshold",
                                                 merged.get("n_particles", 50))
-        assert replaced.v_min == merged.get("min_vorticity", -merged.get("max_vorticity", 7.0))
 
     @pytest.mark.parametrize("kwargs", [
         {"n_particles": 1},
         {"max_iterations": -1},
         {"elimination_threshold": -1},
         {"n_particles": 10, "elimination_threshold": 11},
-        {"min_vorticity": 1.0},
+        {"max_vorticity": -0.0},
         {"max_vorticity": -2.0},
-        {"pull_epsilon": 0.0},
-        {"pull_epsilon": -1e-9},
-        {"min_vorticity": 0.0},
+        {"max_vorticity": -1e-300},
+        {"target_fitness": float("nan")},
+        {"elimination_threshold": 51},
         {"max_vorticity": 0.0},
         {"initial_vorticity": float("nan")},
         {"initial_vorticity": float("inf")},
         {"max_vorticity": float("inf")},
-        {"min_vorticity": float("-inf")},
-        {"pull_epsilon": float("inf")},
-        {"pull_epsilon": float("nan")},
+        {"max_vorticity": float("-inf")},
+        {"max_vorticity": float("nan")},
+        {"initial_vorticity": float("-inf")},
         {"max_iterations": "10"},
         {"max_iterations": None},
         {"max_iterations": 2.5},
@@ -346,28 +332,29 @@ class TestVoaConfig:
             VoaConfig(**{field: value})
 
     @pytest.mark.parametrize("field,value", [
-        ("initial_vorticity", "0.5"), ("max_vorticity", True), ("min_vorticity", "-1"),
-        ("pull_epsilon", None), ("target_fitness", "1e-8"), ("target_fitness", False),
+        ("initial_vorticity", "0.5"), ("max_vorticity", True), ("max_vorticity", None),
+        ("initial_vorticity", None), ("target_fitness", "1e-8"), ("target_fitness", False),
     ])
     def test_non_real_field_named_in_error(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be a real number"):
             VoaConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [-2.0, 0.0, -0.0, -1e-300])
+    def test_max_vorticity_must_be_positive(self, value):
+        with pytest.raises(ValueError, match=f"^max_vorticity must be > 0, got {value}$"):
+            VoaConfig(max_vorticity=value)
 
     def test_nan_target_fitness_rejected(self):
         with pytest.raises(ValueError, match="^target_fitness must not be NaN"):
             VoaConfig(target_fitness=float("nan"))
 
     def test_real_fields_stored_as_float(self):
-        config = VoaConfig(initial_vorticity=1, max_vorticity=np.int64(3),
-                           pull_epsilon=np.float32(0.5), target_fitness=0)
-        assert config.min_vorticity is None
-        assert (config.initial_vorticity, config.max_vorticity, config.v_min,
-                config.pull_epsilon, config.target_fitness) == (1.0, 3.0, -3.0, 0.5, 0.0)
-        for name in ("initial_vorticity", "max_vorticity", "v_min", "pull_epsilon",
-                     "target_fitness"):
+        config = VoaConfig(initial_vorticity=np.float32(0.5), max_vorticity=np.int64(3),
+                           target_fitness=0)
+        assert (config.initial_vorticity, config.max_vorticity,
+                config.target_fitness) == (0.5, 3.0, 0.0)
+        for name in ("initial_vorticity", "max_vorticity", "target_fitness"):
             assert type(getattr(config, name)) is float, name
-        given = VoaConfig(min_vorticity=np.int64(-2))
-        assert type(given.min_vorticity) is float and given.min_vorticity == given.v_min == -2.0
         assert VoaConfig(target_fitness=float("-inf")).target_fitness == float("-inf")
 
     def test_per_coordinate_draws_is_a_fixed_field(self):

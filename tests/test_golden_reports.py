@@ -26,9 +26,9 @@ RUN_ARGS = ["--function", "booth", "--function", "sphere", "--dim", "2", "--dim"
 GOLDEN = {
     "runs.csv": "af36c47c95483fc8d7cc5808c84374309e0c97f8fe02ba1aae29b1b65491c7e2",
     "summary.csv": "01380facc4455bb8b1182bef57118327a975dcea4083f5440800d91c85ce2337",
-    # Recorded when the seed left VoaConfig; the config's "seed" line is the only
-    # change.
-    "summary.json": "b7f7bb7e15efd0844c6f8cf796d811ecde9bffdc1578f5d0adc5d7a831f7ce0f",
+    # Recorded when min_vorticity and pull_epsilon left VoaConfig; their two config
+    # lines are the only change.
+    "summary.json": "0b14e0cbf3883f3159495a38dc4eb0178b7854c70c6c068de4cc75650b0c850f",
     "trace": "cd266f7a8d4ba9b7aad187a3cf7f3b0dfa10ee1008f3f121ad3bc3c7c6d99bee",
     # Recorded when the summary grid took summary.csv's number format.
     "run_stdout": "5b6e043dfa025dbad3d2104aa3c1707f91740f0447c1cce3d69f87a8573f4a43",

@@ -729,6 +729,31 @@ class TestWriteReports:
         assert read.config.resolved() == plan.config.resolved()
         assert read.out_dir == tmp_path and read.trace_dir is None
 
+    @pytest.mark.parametrize("key,value", [("momentum", 3), ("min_vorticity", -2.5), ("seed", 1),
+                                           ("per_coordinate_draws", False),
+                                           ("elimination_threshold", None),
+                                           ("max_vorticity", 7), ("per_coordinate_draws", 1)])
+    def test_read_plan_names_a_config_entry_run_does_not_write(self, tmp_path, key, value):
+        path = write_reports([], [], small_plan(tmp_path))["summary_json"]
+        record = json.loads(path.read_text())
+        record["config"][key] = value
+        path.write_text(json.dumps(record))
+        named = f"{path}: config {key}={json.dumps(value)} is not what run writes"
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            read_plan(path)
+
+    def test_read_plan_refuses_a_record_of_an_earlier_version(self, tmp_path):
+        # Such a record held the retired engine constants, and may hold a config entry less.
+        path = write_reports([], [], small_plan(tmp_path))["summary_json"]
+        record = json.loads(path.read_text())
+        record["config"].update(min_vorticity=-7.0, pull_epsilon=1e-9)
+        del record["config"]["per_coordinate_draws"]
+        path.write_text(json.dumps(record, indent=2, sort_keys=True))
+        named = (f"{path}: config min_vorticity=-7.0, pull_epsilon=1e-09, "
+                 "per_coordinate_draws=missing is not what run writes")
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            read_plan(path)
+
     @pytest.mark.parametrize("cells,named", [
         ("booth", "needs a config object and cells"),
         ([["booth"]], "needs a config object and cells"),
