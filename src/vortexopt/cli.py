@@ -1,9 +1,7 @@
 """Command-line harness: run experiment plans, check results, list benchmarks.
 
-Settings merge with precedence CLI flag > config file > defaults. The config
-file is flat ``key = value`` text whose keys are exactly the long flag names
-(``function`` and ``dim`` accept comma-separated lists). ``RUN_SETTINGS``
-declares each ``run`` setting once for the parser, the file and the plan.
+A ``run``'s settings are its flags over the defaults. ``RUN_SETTINGS``
+declares each ``run`` setting once for the parser and the plan.
 """
 
 from __future__ import annotations
@@ -36,10 +34,10 @@ _DEFAULT = VoaConfig()
 
 
 class Setting(NamedTuple):
-    """A ``run`` setting: its long flag, which is also its config-file key;
-    the parser of one text value; the ``VoaConfig`` field it sets (None for a
-    plan setting); its help, where ``{default}`` stands for that field's
-    default; and whether it takes a list of values."""
+    """A ``run`` setting: its long flag; the parser of one text value; the
+    ``VoaConfig`` field it sets (None for a plan setting); its help, where
+    ``{default}`` stands for that field's default; and whether it takes a list
+    of values."""
 
     flag: str
     parse: Callable
@@ -69,39 +67,6 @@ RUN_SETTINGS = {s.flag: s for s in (
 )}
 
 
-def load_config_file(path) -> dict:
-    """Parse a flat key=value settings file into ``{flag: value}``; rejects a file that
-    is not UTF-8, naming it, and unknown or repeated keys and bad values, naming the line."""
-    options, seen = {}, {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in RUN_SETTINGS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in seen:
-            raise ValueError(f"{path}:{lineno}: repeated key {key!r} (first on line {seen[key]})")
-        seen[key] = lineno
-        setting = RUN_SETTINGS[key]
-        parts = value.split(",") if setting.repeat else [value]
-        parts = [p.strip() for p in parts if p.strip()]
-        if not parts:
-            raise ValueError(f"{path}:{lineno}: empty value for {key!r}")
-        try:
-            values = [setting.parse(p) for p in parts]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
-        options[key] = values if setting.repeat else values[0]
-    return options
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vortexopt",
@@ -114,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         default = getattr(_DEFAULT, s.field) if s.field else None
         run_p.add_argument(f"--{s.flag}", action="append" if s.repeat else "store",
                            type=s.parse, help=s.help.format(default=default))
-    run_p.add_argument("--config", help="settings file merged below CLI flags")
 
     check_p = sub.add_parser("check", help="judge the plan in summary.json by the reference table")
     check_p.add_argument("--out", default=DEFAULT_OUT_DIR, help="directory containing runs.csv "
@@ -126,11 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def plan_from_args(ns) -> tuple:
     """Build (plan, jobs) from parsed run-subcommand arguments."""
-    file_options = load_config_file(ns.config) if ns.config else {}
-    values = {}
-    for flag in RUN_SETTINGS:
-        value = getattr(ns, flag.replace("-", "_"))
-        values[flag] = file_options.get(flag) if value is None else value
+    values = {flag: getattr(ns, flag.replace("-", "_")) for flag in RUN_SETTINGS}
     overrides = {s.field: values[s.flag] for s in RUN_SETTINGS.values()
                  if s.field is not None and values[s.flag] is not None}
     plan = make_plan(

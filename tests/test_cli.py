@@ -14,7 +14,7 @@ from helpers import strip_wall_column
 from test_golden_reports import GOLDEN, RUN_ARGS, legacy_trace_view
 from test_harness import fake_report
 from vortexopt import VoaConfig
-from vortexopt.cli import RUN_SETTINGS, build_parser, load_config_file, main, parse_plan
+from vortexopt.cli import RUN_SETTINGS, build_parser, main, parse_plan
 from vortexopt.harness import (
     REFERENCE_RESULTS,
     ExperimentPlan,
@@ -121,115 +121,25 @@ class TestParsePlan:
         assert "(default: the population size)" in " ".join(capsys.readouterr().out.split())
 
 
-class TestConfigFile:
-    def test_file_values_used_as_defaults(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(
-            "# experiment settings\n"
-            "function = sphere, rosenbrock\n"
-            "dim = 2\n"
-            "seeds = 4\n"
-            "iterations = 123\n"
-        )
-        plan, _ = parse_plan(["--config", str(cfg)])
-        assert plan.cells() == [("sphere", 2), ("rosenbrock", 2)]
-        assert plan.seeds == (1, 2, 3, 4)
-        assert plan.config.max_iterations == 123
-
-    def test_cli_flags_override_file(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("iterations = 123\nseeds = 4\n")
-        plan, _ = parse_plan(["--config", str(cfg), "--iterations", "55"])
-        assert plan.config.max_iterations == 55
-        assert plan.seeds == (1, 2, 3, 4)
-
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("momentum = 0.9\n")
-        with pytest.raises(ValueError, match="unknown key"):
-            load_config_file(cfg)
-
-    def test_malformed_line_rejected(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("iterations\n")
-        with pytest.raises(ValueError, match="expected"):
-            load_config_file(cfg)
-
-    def test_bad_value_rejected(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("iterations = soon\n")
-        with pytest.raises(ValueError, match="bad value"):
-            load_config_file(cfg)
-
-    @pytest.mark.parametrize("text,line,key", [
-        ("function = sphere\ndim = ,\n", 2, "dim"),
-        ("function = , ,\n", 1, "function"),
-        ("seeds = 2\niterations =\n", 2, "iterations"),
-    ])
-    def test_value_of_only_commas_is_empty_naming_its_line(self, tmp_path, text, line, key):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(text)
-        message = f"{cfg}:{line}: empty value for {key!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            load_config_file(cfg)
-
-    def test_draw_mode_is_an_unknown_key_naming_its_line(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("seeds = 2\ndraw-mode = shared\n")
-        with pytest.raises(ValueError, match=re.escape(f"{cfg}:2: unknown key 'draw-mode'")):
-            load_config_file(cfg)
-
-    @pytest.mark.parametrize("line", ["pull-epsilon = 1e-6", "min-vorticity = -2"])
-    def test_fixed_engine_constant_is_an_unknown_key(self, tmp_path, line):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(line + "\n")
-        key = line.split(" ")[0]
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{cfg}:1: unknown key {key!r}')}$"):
-            load_config_file(cfg)
-
-    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("iterations = 5\nseeds = 2\n# again\niterations = 7\n")
-        assert main(["run", "--config", str(cfg), "--function", "booth", "--jobs", "1",
-                     "--out", str(tmp_path / "res")]) == 2
-        captured = capsys.readouterr()
-        (err,) = captured.err.splitlines()
-        assert err == f"error: {cfg}:4: repeated key 'iterations' (first on line 1)"
-        assert captured.out == ""
-        assert not (tmp_path / "res").exists()
-
-    def test_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_bytes(b"seeds = 2\niterations = \xff\n")
-        assert main(["run", "--config", str(cfg), "--function", "booth", "--jobs", "1",
-                     "--out", str(tmp_path / "res")]) == 2
-        captured = capsys.readouterr()
-        (err,) = captured.err.splitlines()
-        assert err.startswith(f"error: {cfg}: 'utf-8' codec can't decode")
-        assert captured.out == ""
-        assert not (tmp_path / "res").exists()
-
-
 class TestRunSettings:
     def test_every_setting_has_a_sample(self):
         assert set(SAMPLES) == set(RUN_SETTINGS)
 
     @pytest.mark.parametrize("setting", RUN_SETTINGS.values(), ids=lambda s: s.flag)
-    def test_flag_and_file_key_parse_alike(self, tmp_path, setting):
+    def test_flag_and_file_key_parse_alike(self, setting):
+        # A saved `key = a, b` line is the flags `--key a --key b`.
         texts = SAMPLES[setting.flag]
         assert (len(texts) > 1) == setting.repeat
         argv = ["run"] + [arg for text in texts for arg in (f"--{setting.flag}", text)]
         from_flag = getattr(build_parser().parse_args(argv), setting.flag.replace("-", "_"))
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"{setting.flag} = {', '.join(texts)}\n")
-        assert from_flag is not None
-        assert load_config_file(cfg) == {setting.flag: from_flag}
+        parsed = [setting.parse(text) for text in texts]
+        assert from_flag == (parsed if setting.repeat else parsed[0])
 
     def test_run_flags_are_exactly_the_settings(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--help"])
         flags = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
-        assert flags == set(RUN_SETTINGS) | {"config", "help"}
+        assert flags == set(RUN_SETTINGS) | {"help"}
 
     def test_draw_mode_flag_exits_2_naming_the_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -238,7 +148,8 @@ class TestRunSettings:
         err = capsys.readouterr().err
         assert "unrecognized arguments: --draw-mode" in err
 
-    @pytest.mark.parametrize("argv", [["--pull-epsilon", "1e-6"], ["--min-vorticity", "-2"]])
+    @pytest.mark.parametrize("argv", [["--pull-epsilon", "1e-6"], ["--min-vorticity", "-2"],
+                                      ["--config", "exp.cfg"]])
     def test_fixed_engine_constant_flag_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             parse_plan(argv)

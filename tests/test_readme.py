@@ -1,13 +1,14 @@
 """The README's examples run as written.
 
-The Library block is executed, the ``example.cfg`` block is parsed by the
-CLI's ``--config`` path, the documented runs.csv header is the real one, and
-the documented engine parameters are the real ones.
+The Library block is executed, every ``vortexopt run`` line of the ``sh``
+blocks is parsed by the CLI's ``run`` parser, the documented runs.csv header
+is the real one, and the documented engine parameters are the real ones.
 """
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 from vortexopt.cli import RUN_SETTINGS, parse_plan
@@ -38,11 +39,14 @@ def test_library_example_runs():
     assert out.getvalue()
 
 
-def test_config_example_parses(tmp_path):
-    (cfg,) = [b for b in _blocks("") if b.startswith("# example.cfg\n")]
-    path = tmp_path / "example.cfg"
-    path.write_text(cfg, encoding="utf-8")
-    plan, _ = parse_plan(["--config", str(path)])
+def test_config_example_parses():
+    plans = {}
+    for block in _blocks("sh"):
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:2] == ["vortexopt", "run"]:
+                plans[line] = parse_plan(words[2:])[0]
+    (plan,) = [p for line, p in plans.items() if "--iterations 2000" in line]
     assert plan.cells() == [("booth", 2), ("sphere", 2), ("sphere", 5)]
     assert plan.seeds == tuple(range(1, 11))
     assert plan.config.max_iterations == 2000
