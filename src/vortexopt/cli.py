@@ -55,8 +55,6 @@ RUN_SETTINGS = {s.flag: s for s in (
     Setting("particles", int, "n_particles", "population size (default {default})"),
     Setting("iterations", int, "max_iterations", "iteration budget (default {default})"),
     Setting("init-vorticity", float, "initial_vorticity", "initial vorticity (default {default})"),
-    Setting("max-vorticity", float, "max_vorticity",
-            "vorticity limit v; vorticity is clamped to [-v, v] (default {default})"),
     Setting("elimination", int, "elimination_threshold", "respawn all normal particles when "
             "their count is at or below this (default: the population size)"),
     Setting("target-fitness", float, "target_fitness",
@@ -89,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def plan_from_args(ns) -> tuple:
-    """Build (plan, jobs) from parsed run-subcommand arguments."""
+    """Build (plan, jobs) from parsed run-subcommand arguments; the plan's ``VoaConfig``
+    is built from the given flags only, so every other field keeps its default."""
     values = {flag: getattr(ns, flag.replace("-", "_")) for flag in RUN_SETTINGS}
     overrides = {s.field: values[s.flag] for s in RUN_SETTINGS.values()
                  if s.field is not None and values[s.flag] is not None}
@@ -98,7 +97,7 @@ def plan_from_args(ns) -> tuple:
         dims=values["dim"],
         seed_count=values["seeds"],
         base_seed=values["base-seed"],
-        config_overrides=overrides,
+        config=VoaConfig(**overrides),
         out_dir=values["out"],
         trace_dir=values["trace-dir"],
     )

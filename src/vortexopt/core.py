@@ -144,10 +144,11 @@ class RandomSource:
 class VoaConfig:
     """Run configuration.
 
-    Defaults follow the standard benchmark setup: 50 particles, 5000
-    iterations, initial vorticity 0.5 clamped to [-max_vorticity, max_vorticity]
-    = [-7, 7], and an elimination threshold equal to the population size (so
-    every below-average particle is respawned each iteration).
+    Holds only the settings a caller varies. Defaults follow the standard
+    benchmark setup: 50 particles, 5000 iterations, initial vorticity 0.5, and
+    an elimination threshold equal to the population size (so every
+    below-average particle is respawned each iteration). The vorticity limit
+    is no setting: the engine clamps vorticity to [-7, 7].
 
     ``per_coordinate_draws`` records, for ``summary.json`` and the benchmark's
     tracer, that the position update takes one draw per coordinate; it is
@@ -161,16 +162,14 @@ class VoaConfig:
     "derive", so ``replace`` keeps it and equality compares it; ``threshold``
     and ``resolved()`` read the value a run uses.
 
-    ``initial_vorticity`` may lie outside ``[-max_vorticity, max_vorticity]``:
-    the one-time kick clamps the initial best particle's value, and the first
-    vorticity pull a particle goes through (respawned particles included)
-    clamps its value.
+    ``initial_vorticity`` may lie outside [-7, 7]: the one-time kick clamps
+    the initial best particle's value, and the first vorticity pull a particle
+    goes through (respawned particles included) clamps its value.
     """
 
     n_particles: int = 50
     max_iterations: int = 5000
     initial_vorticity: float = 0.5
-    max_vorticity: float = 7.0
     elimination_threshold: Optional[int] = None
     per_coordinate_draws: bool = field(default=True, init=False)
     target_fitness: Optional[float] = None
@@ -179,19 +178,16 @@ class VoaConfig:
         for name, convert in (("n_particles", lambda n, v: as_integer(n, v, minimum=2)),
                               ("max_iterations", lambda n, v: as_integer(n, v, minimum=0)),
                               ("elimination_threshold", as_integer),
-                              ("initial_vorticity", as_real), ("max_vorticity", as_real),
-                              ("target_fitness", as_real)):
+                              ("initial_vorticity", as_real), ("target_fitness", as_real)):
             value = getattr(self, name)
             if value is None and name in ("elimination_threshold", "target_fitness"):
                 continue
             value = convert(name, value)
-            if convert is as_real and name != "target_fitness" and not math.isfinite(value):
+            if name == "initial_vorticity" and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
         if self.target_fitness is not None and math.isnan(self.target_fitness):
             raise ValueError("target_fitness must not be NaN")
-        if not self.max_vorticity > 0.0:
-            raise ValueError(f"max_vorticity must be > 0, got {self.max_vorticity}")
         if not 0 <= self.threshold <= self.n_particles:
             raise ValueError("elimination_threshold must lie in [0, n_particles], got "
                              f"{self.threshold} with n_particles={self.n_particles}")

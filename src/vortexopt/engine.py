@@ -50,6 +50,8 @@ __all__ = [
 
 # The pull divides by a particle's vorticity; this floor on its magnitude keeps the step finite.
 _PULL_EPSILON = 1e-9
+# The kick and the pull clamp vorticity to [-_MAX_VORTICITY, _MAX_VORTICITY].
+_MAX_VORTICITY = 7.0
 
 
 @dataclass(eq=False)
@@ -91,7 +93,7 @@ class RunReport:
 
 
 def vorticity_kick(v, r, v_min, v_max):
-    """Upward vorticity nudge ``v + r*v``, clamped to the configured limits.
+    """Upward vorticity nudge ``v + r*v``, clamped to [v_min, v_max].
 
     Applied exactly once per run, to the initial best particle.
     """
@@ -152,7 +154,7 @@ def initialize_swarm(config: VoaConfig, objective: Objective, rng: RandomSource)
     best_index = int(fitness.argmin())
     r = float(rng.uniform_unit_batch(1)[0])
     vorticity[best_index] = float(
-        vorticity_kick(vorticity[best_index], r, -config.max_vorticity, config.max_vorticity)
+        vorticity_kick(vorticity[best_index], r, -_MAX_VORTICITY, _MAX_VORTICITY)
     )
     is_vortex = np.zeros(n, dtype=bool)
     is_vortex[best_index] = True
@@ -242,7 +244,7 @@ def advance_iteration(state: SwarmState, config: VoaConfig, objective: Objective
 
     # Vorticity pull toward the record, every particle including the holder.
     state.vorticity = vorticity_pull(state.vorticity, state.best_vorticity, draws[:n],
-                                     _PULL_EPSILON, -config.max_vorticity, config.max_vorticity)
+                                     _PULL_EPSILON, -_MAX_VORTICITY, _MAX_VORTICITY)
 
     # Decay for vortex particles other than the record holder.
     decaying = state.is_vortex.copy()

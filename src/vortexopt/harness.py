@@ -93,7 +93,6 @@ REFERENCE_RESULTS = {
     ("rosenbrock", 30): (0.0023, "max", 5e-2),
 }
 GRID_DIMENSIONS = tuple(dict.fromkeys(d for _, d in REFERENCE_RESULTS))
-_SETTABLE = tuple(f.name for f in fields(VoaConfig) if f.init)  # what a plan's config may set
 
 
 @dataclass(frozen=True)
@@ -136,16 +135,17 @@ class ExperimentPlan:
 
 
 def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
-              config_overrides=None, out_dir=None, trace_dir=None) -> ExperimentPlan:
+              config=None, out_dir=None, trace_dir=None) -> ExperimentPlan:
     """Assemble a plan, filling anything unspecified with the defaults.
 
     With no arguments this is the full reporting grid: every registry function
     at its ``REFERENCE_RESULTS`` cells in table order, 20 consecutive seeds
-    starting at 1, standard configuration, reports in ``DEFAULT_OUT_DIR``.
-    ``functions`` and ``dims`` are read by ``as_distinct``; ``dims`` is shared out:
-    each function runs the listed dimensions it supports. A function that supports
-    none of them, or a listed dimension that none supports, raises the registry's
-    ``check_dimension`` error. ``ExperimentPlan`` checks the rest.
+    starting at 1, ``VoaConfig()``, reports in ``DEFAULT_OUT_DIR``. ``config``
+    is the ``VoaConfig`` every run shares. ``functions`` and ``dims`` are read
+    by ``as_distinct``; ``dims`` is shared out: each function runs the listed
+    dimensions it supports. A function that supports none of them, or a listed
+    dimension that none supports, raises the registry's ``check_dimension``
+    error. ``ExperimentPlan`` checks the rest.
     """
     specs = as_distinct("functions", benchmark_names() if functions is None else functions,
                         lambda _, name: get_spec(name))
@@ -162,16 +162,10 @@ def make_plan(functions=None, dims=None, seed_count=None, base_seed=None,
         dimensions = {s.name: tuple(d for f, d in REFERENCE_RESULTS if f == s.name) for s in specs}
     base = as_integer("base_seed", DEFAULT_BASE_SEED if base_seed is None else base_seed)
     count = as_integer("seed_count", DEFAULT_SEED_COUNT if seed_count is None else seed_count)
-    overrides = {} if config_overrides is None else config_overrides
-    if not isinstance(overrides, Mapping):
-        raise ValueError(f"config_overrides must be a mapping, got {overrides!r}")
-    unknown = ", ".join(str(key) for key in overrides if key not in _SETTABLE)
-    if unknown:
-        raise ValueError(f"config_overrides cannot set {unknown}: no such VoaConfig field")
     return ExperimentPlan(
         dimensions=dimensions,
         seeds=tuple(range(base, base + count)),
-        config=VoaConfig(**overrides),
+        config=VoaConfig() if config is None else config,
         out_dir=DEFAULT_OUT_DIR if out_dir is None else out_dir,
         trace_dir=trace_dir,
     )
@@ -358,7 +352,7 @@ def read_plan(path) -> ExperimentPlan:
             raise ValueError("needs a config object and cells, a list of [function, dimension]")
         dimensions = {f: [d for g, d in cells if g == f] for f, _ in cells}
         plan = ExperimentPlan(dimensions, record["seeds"], out_dir=path.parent, config=VoaConfig(
-            **{name: record["config"][name] for name in _SETTABLE}))
+            **{f.name: record["config"][f.name] for f in fields(VoaConfig) if f.init}))
         # As JSON text, so 7 and 7.0, or 1 and true, differ as the bytes run writes do.
         got, want = ({key: json.dumps(value) for key, value in config.items()}
                      for config in (record["config"], plan.config.resolved()))

@@ -79,8 +79,7 @@ def run_with_invariant_checks(config: VoaConfig, objective, seed=1):
 
     def vorticity_pull(*args):
         pulled = real["vorticity_pull"](*args)
-        assert np.all(pulled >= -config.max_vorticity)
-        assert np.all(pulled <= config.max_vorticity)
+        assert np.all(np.abs(pulled) <= 7.0), "pull left the vorticity limit"
         return pulled
 
     def vorticity_decay(v, r):

@@ -126,7 +126,7 @@ def reference_run(config, objective, seed):
     """
     n, d = config.n_particles, objective.dimension
     lower, upper = [float(b[0]) for b in objective.bounds], [float(b[1]) for b in objective.bounds]
-    v_min, v_max = -config.max_vorticity, config.max_vorticity
+    v_min, v_max = -7.0, 7.0  # the engine's vorticity limit, written out
     stream = _Stream(seed)
 
     def box_points(count):

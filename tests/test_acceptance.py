@@ -39,9 +39,8 @@ from vortexopt.core import RandomSource
 DEFAULT_PLAN_GOLDEN = {
     "runs": "90daf5e4f7c3b9041bf70f31f5c23d840690f7836c287fd790c637250158b3b0",
     "summary": "d007b24bc25e87612f96ca2af344a739fc1bbe91de356b43f93861ac4671c2ae",
-    # Re-pinned when min_vorticity and pull_epsilon left VoaConfig; their two
-    # config lines are the only change.
-    "summary_json": "d7db0e5494b56879bebb4dc5cd7a1d583dc83f88112e8a4ef92badcc92e825a7",
+    # Re-pinned when max_vorticity left VoaConfig; its config line is the only change.
+    "summary_json": "2ec3e1b7948cd82e0bc776c95ddefd354f44a416474757a440843ff63f4dc6a2",
 }
 
 

@@ -46,7 +46,6 @@ SAMPLES = {
     "particles": ["12"],
     "iterations": ["40"],
     "init-vorticity": ["0.25"],
-    "max-vorticity": ["3.5"],
     "elimination": ["6"],
     "target-fitness": ["1e-8"],
     "jobs": ["2"],
@@ -63,7 +62,6 @@ class TestParsePlan:
         assert plan.config.n_particles == 50
         assert plan.config.max_iterations == 5000
         assert plan.config.initial_vorticity == 0.5
-        assert plan.config.max_vorticity == 7.0
         assert plan.config.threshold == 50
         assert jobs is None
 
@@ -99,17 +97,22 @@ class TestParsePlan:
     def test_engine_parameters_map_to_config(self):
         plan, jobs = parse_plan([
             "--particles", "10", "--iterations", "100", "--init-vorticity", "0.25",
-            "--max-vorticity", "3.0", "--elimination", "4", "--base-seed", "50",
+            "--elimination", "4", "--base-seed", "50",
             "--seeds", "2", "--jobs", "2",
         ])
         config = plan.config
         assert config.n_particles == 10
         assert config.max_iterations == 100
         assert config.initial_vorticity == 0.25
-        assert config.max_vorticity == 3.0
         assert config.threshold == 4
         assert plan.seeds == (50, 51)
         assert jobs == 2
+
+    def test_negative_values_in_scientific_notation_parse_after_an_equals_sign(self):
+        # argparse reads `-1e-3` alone as an option, so such a value is written --flag=VALUE.
+        plan, _ = parse_plan(["--target-fitness=-1e-3", "--init-vorticity=-5e-1"])
+        assert plan.config.target_fitness == -0.001
+        assert plan.config.initial_vorticity == -0.5
 
 
     @pytest.mark.parametrize("particles", [30, 80])
@@ -149,7 +152,7 @@ class TestRunSettings:
         assert "unrecognized arguments: --draw-mode" in err
 
     @pytest.mark.parametrize("argv", [["--pull-epsilon", "1e-6"], ["--min-vorticity", "-2"],
-                                      ["--config", "exp.cfg"]])
+                                      ["--config", "exp.cfg"], ["--max-vorticity", "3"]])
     def test_fixed_engine_constant_flag_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             parse_plan(argv)
@@ -569,8 +572,8 @@ class TestMain:
 
 # Configurations that differ from the default in one field.
 _ONE_FIELD_CHANGED = [{"n_particles": 12}, {"max_iterations": 40},
-                      {"initial_vorticity": 0.25}, {"max_vorticity": 3.5},
-                      {"elimination_threshold": 6}, {"target_fitness": 1e-8}]
+                      {"initial_vorticity": 0.25}, {"elimination_threshold": 6},
+                      {"target_fitness": 1e-8}]
 
 
 @st.composite

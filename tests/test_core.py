@@ -197,15 +197,16 @@ class TestIntegerChecks:
         with pytest.raises(TypeError, match="seed"):
             VoaConfig(seed=1)
 
-    @pytest.mark.parametrize("name,value", [("min_vorticity", -1.0), ("pull_epsilon", 1e-6)])
+    @pytest.mark.parametrize("name,value", [("min_vorticity", -1.0), ("pull_epsilon", 1e-6),
+                                            ("max_vorticity", 3.0)])
     def test_a_fixed_engine_constant_is_not_configuration(self, name, value):
         with pytest.raises(TypeError, match=name):
             VoaConfig(**{name: value})
 
     @pytest.mark.parametrize("value", [True, np.False_, "0.5", None, 1j])
     def test_as_real_rejects_bools_and_non_reals_by_name(self, value):
-        with pytest.raises(ValueError, match="^max_vorticity must be a real number"):
-            as_real("max_vorticity", value)
+        with pytest.raises(ValueError, match="^initial_vorticity must be a real number"):
+            as_real("initial_vorticity", value)
 
     def test_as_real_returns_a_float(self):
         for value in (2, np.int64(2), np.float32(2.0), 2.0):
@@ -218,7 +219,6 @@ _GIVEN = st.fixed_dictionaries({}, optional={
     "n_particles": st.integers(2, 100),
     "max_iterations": st.integers(0, 10),
     "initial_vorticity": st.floats(-9.0, 9.0),
-    "max_vorticity": st.floats(0.25, 9.0),
     "elimination_threshold": st.integers(0, 60),
     "target_fitness": st.floats(allow_nan=False),
 })
@@ -230,7 +230,6 @@ class TestVoaConfig:
         assert config.n_particles == 50
         assert config.max_iterations == 5000
         assert config.initial_vorticity == 0.5
-        assert config.max_vorticity == 7.0
         assert config.elimination_threshold is None and config.threshold == 50
 
     @pytest.mark.parametrize("n", [2, 30, 50, 80])
@@ -245,7 +244,7 @@ class TestVoaConfig:
         assert VoaConfig(elimination_threshold=50).resolved() == VoaConfig().resolved()
 
     def test_resolved_is_asdict_with_the_derived_values(self):
-        config = VoaConfig(n_particles=30, max_vorticity=3.0)
+        config = VoaConfig(n_particles=30, initial_vorticity=3.0)
         resolved = config.resolved()
         assert list(resolved) == list(asdict(config))
         assert resolved == {**asdict(config), "elimination_threshold": 30}
@@ -263,11 +262,11 @@ class TestVoaConfig:
 
     def test_replace_keeps_given_values(self):
         config = VoaConfig(elimination_threshold=10)
-        assert replace(config, n_particles=80, max_vorticity=3.0) == VoaConfig(
-            n_particles=80, max_vorticity=3.0, elimination_threshold=10)
+        assert replace(config, n_particles=80, initial_vorticity=3.0) == VoaConfig(
+            n_particles=80, initial_vorticity=3.0, elimination_threshold=10)
         changed = replace(VoaConfig(), elimination_threshold=20)
-        assert replace(changed, n_particles=30, max_vorticity=3.0) == VoaConfig(
-            n_particles=30, max_vorticity=3.0, elimination_threshold=20)
+        assert replace(changed, n_particles=30, initial_vorticity=3.0) == VoaConfig(
+            n_particles=30, initial_vorticity=3.0, elimination_threshold=20)
         assert replace(replace(VoaConfig(), n_particles=30), n_particles=40) == VoaConfig(
             n_particles=40)
 
@@ -300,17 +299,17 @@ class TestVoaConfig:
         {"max_iterations": -1},
         {"elimination_threshold": -1},
         {"n_particles": 10, "elimination_threshold": 11},
-        {"max_vorticity": -0.0},
-        {"max_vorticity": -2.0},
-        {"max_vorticity": -1e-300},
+        {"n_particles": 0},
+        {"n_particles": -3},
+        {"max_iterations": True},
         {"target_fitness": float("nan")},
         {"elimination_threshold": 51},
-        {"max_vorticity": 0.0},
+        {"initial_vorticity": True},
         {"initial_vorticity": float("nan")},
         {"initial_vorticity": float("inf")},
-        {"max_vorticity": float("inf")},
-        {"max_vorticity": float("-inf")},
-        {"max_vorticity": float("nan")},
+        {"initial_vorticity": "0.5"},
+        {"target_fitness": "1e-8"},
+        {"elimination_threshold": np.float64(3.0)},
         {"initial_vorticity": float("-inf")},
         {"max_iterations": "10"},
         {"max_iterations": None},
@@ -332,28 +331,22 @@ class TestVoaConfig:
             VoaConfig(**{field: value})
 
     @pytest.mark.parametrize("field,value", [
-        ("initial_vorticity", "0.5"), ("max_vorticity", True), ("max_vorticity", None),
-        ("initial_vorticity", None), ("target_fitness", "1e-8"), ("target_fitness", False),
+        ("initial_vorticity", "0.5"), ("initial_vorticity", None),
+        ("target_fitness", "1e-8"), ("target_fitness", False),
     ])
     def test_non_real_field_named_in_error(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be a real number"):
             VoaConfig(**{field: value})
-
-    @pytest.mark.parametrize("value", [-2.0, 0.0, -0.0, -1e-300])
-    def test_max_vorticity_must_be_positive(self, value):
-        with pytest.raises(ValueError, match=f"^max_vorticity must be > 0, got {value}$"):
-            VoaConfig(max_vorticity=value)
 
     def test_nan_target_fitness_rejected(self):
         with pytest.raises(ValueError, match="^target_fitness must not be NaN"):
             VoaConfig(target_fitness=float("nan"))
 
     def test_real_fields_stored_as_float(self):
-        config = VoaConfig(initial_vorticity=np.float32(0.5), max_vorticity=np.int64(3),
-                           target_fitness=0)
-        assert (config.initial_vorticity, config.max_vorticity,
-                config.target_fitness) == (0.5, 3.0, 0.0)
-        for name in ("initial_vorticity", "max_vorticity", "target_fitness"):
+        config = VoaConfig(initial_vorticity=np.float32(0.5), target_fitness=np.int64(3))
+        assert (config.initial_vorticity, config.target_fitness) == (0.5, 3.0)
+        assert VoaConfig(initial_vorticity=3, target_fitness=0).target_fitness == 0.0
+        for name in ("initial_vorticity", "target_fitness"):
             assert type(getattr(config, name)) is float, name
         assert VoaConfig(target_fitness=float("-inf")).target_fitness == float("-inf")
 

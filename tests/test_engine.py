@@ -329,11 +329,11 @@ class TestRun:
         config = VoaConfig(initial_vorticity=100.0)
         rng = RandomSource(2)
         state = initialize_swarm(config, objective, rng)
-        assert state.best_vorticity == config.max_vorticity
+        assert state.best_vorticity == 7.0
         advance_iteration(state, config, objective, rng)
         # Vortices went through the pull; respawned normals hold the initial value
         # until the next iteration's pull.
-        assert np.all(np.abs(state.vorticity[state.is_vortex]) <= config.max_vorticity)
+        assert np.all(np.abs(state.vorticity[state.is_vortex]) <= 7.0)
         assert np.all(state.vorticity[~state.is_vortex] == 100.0)
 
 

@@ -45,7 +45,7 @@ def small_plan(tmp_path, **kwargs):
         functions=["booth", "beale"],
         dims=[2],
         seed_count=3,
-        config_overrides={"max_iterations": 40},
+        config=VoaConfig(max_iterations=40),
         out_dir=tmp_path / "out",
     )
     defaults.update(kwargs)
@@ -62,22 +62,9 @@ def fake_report(function, dimension, seed, best, error=None):
 
 
 class TestMakePlan:
-    def test_seed_override_rejected_in_favour_of_the_plan_seeds(self, tmp_path):
-        with pytest.raises(ValueError, match="^config_overrides cannot set seed: no such "
-                           "VoaConfig field$"):
-            make_plan(functions=["booth"], seed_count=2, config_overrides={"seed": 99},
-                      out_dir=tmp_path)
-
-    def test_override_of_no_settable_field_rejected_naming_it(self, tmp_path):
-        with pytest.raises(ValueError, match="^config_overrides cannot set momentum, "
-                           "per_coordinate_draws: no such VoaConfig field$"):
-            make_plan(functions=["booth"], out_dir=tmp_path, config_overrides={
-                "max_iterations": 5, "momentum": 0.9, "per_coordinate_draws": False})
-
-    @pytest.mark.parametrize("overrides", [5, [["n_particles", 5]], "n_particles"])
-    def test_config_overrides_that_are_not_a_mapping_rejected(self, tmp_path, overrides):
-        with pytest.raises(ValueError, match="^config_overrides must be a mapping, got "):
-            make_plan(functions=["booth"], config_overrides=overrides, out_dir=tmp_path)
+    def test_config_that_is_not_a_voa_config_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="^config must be a VoaConfig, got "):
+            make_plan(functions=["booth"], config={"max_iterations": 5}, out_dir=tmp_path)
 
     def test_default_plan_covers_the_full_grid(self, tmp_path):
         plan = make_plan(out_dir=tmp_path)
@@ -211,11 +198,11 @@ class TestMakePlan:
         with pytest.raises(ValueError, match="plan selects no benchmark functions"):
             ExperimentPlan(dimensions={}, seeds=(1,), config=VoaConfig(), out_dir=tmp_path)
 
-    def test_config_overrides_applied(self, tmp_path):
-        plan = make_plan(config_overrides={"max_iterations": 10, "n_particles": 8,
-                                           "elimination_threshold": 8}, out_dir=tmp_path)
-        assert plan.config.max_iterations == 10
-        assert plan.config.n_particles == 8
+    def test_config_applied(self, tmp_path):
+        config = VoaConfig(max_iterations=10, n_particles=8, elimination_threshold=8)
+        plan = make_plan(config=config, out_dir=tmp_path)
+        assert plan.config is config
+        assert make_plan(out_dir=tmp_path).config == VoaConfig()
 
 
 # Hostile values for one ExperimentPlan field: scalars of every kind, then
@@ -448,7 +435,7 @@ class TestExecutePlan:
     def test_pickled_report_stays_small(self, tmp_path):
         # With its trace, a 500-iteration booth report pickles to about 17 KB.
         plan = small_plan(tmp_path, functions=["booth"], seed_count=1,
-                          config_overrides={"max_iterations": 500})
+                          config=VoaConfig(max_iterations=500))
         (report,) = execute_plan(plan, jobs=1)
         assert report.iterations == 500
         assert len(pickle.dumps(report)) < 2000
@@ -720,7 +707,7 @@ class TestWriteReports:
 
     def test_read_plan_rebuilds_the_written_plan(self, tmp_path):
         plan = make_plan(functions=["sphere", "booth"], dims=[5, 2], seed_count=2, base_seed=4,
-                         config_overrides={"n_particles": 12, "target_fitness": 1e-8},
+                         config=VoaConfig(n_particles=12, target_fitness=1e-8),
                          out_dir=tmp_path)
         write_reports([], [], plan)
         read = read_plan(tmp_path / "summary.json")
@@ -732,7 +719,8 @@ class TestWriteReports:
     @pytest.mark.parametrize("key,value", [("momentum", 3), ("min_vorticity", -2.5), ("seed", 1),
                                            ("per_coordinate_draws", False),
                                            ("elimination_threshold", None),
-                                           ("max_vorticity", 7), ("per_coordinate_draws", 1)])
+                                           ("max_vorticity", 7), ("max_vorticity", 7.0),
+                                           ("per_coordinate_draws", 1)])
     def test_read_plan_names_a_config_entry_run_does_not_write(self, tmp_path, key, value):
         path = write_reports([], [], small_plan(tmp_path))["summary_json"]
         record = json.loads(path.read_text())

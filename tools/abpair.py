@@ -122,8 +122,9 @@ def main(argv=None) -> int:
     parser.add_argument("--iterations", type=int, default=400, help="iterations per run")
     parser.add_argument("--out", type=Path, help="JSON file to add the comparison to")
     ns = parser.parse_args(argv)
-    if ns.pairs < 1:
-        parser.error(f"--pairs must be at least 1, got {ns.pairs}")
+    for flag, value in (("--pairs", ns.pairs), ("--iterations", ns.iterations)):
+        if value < 1:
+            parser.error(f"{flag} must be at least 1, got {value}")
     a, b = (git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip() for rev in ns.revs)
     env = environment()
     with tempfile.TemporaryDirectory() as work:
