@@ -66,6 +66,29 @@ class TestMakePlan:
         with pytest.raises(ValueError, match="^config must be a VoaConfig, got "):
             make_plan(functions=["booth"], config={"max_iterations": 5}, out_dir=tmp_path)
 
+    def test_seed_override_rejected_in_favour_of_the_plan_seeds(self, tmp_path):
+        with pytest.raises(TypeError, match="'seed'$"):
+            VoaConfig(seed=99)
+        with pytest.raises(ValueError, match="^config must be a VoaConfig, got "):
+            make_plan(functions=["booth"], seed_count=2, config={"seed": 99},
+                      out_dir=tmp_path)
+        plan = make_plan(functions=["booth"], seed_count=2, out_dir=tmp_path)
+        assert plan.seeds == (1, 2)
+
+    def test_override_of_no_settable_field_rejected_naming_it(self):
+        with pytest.raises(TypeError, match="'momentum'$"):
+            VoaConfig(max_iterations=5, momentum=0.9)
+        with pytest.raises(TypeError, match="'per_coordinate_draws'$"):
+            VoaConfig(per_coordinate_draws=False)
+
+    @pytest.mark.parametrize("overrides", [5, [["n_particles", 5]], "n_particles"])
+    def test_config_overrides_that_are_not_a_mapping_rejected(self, tmp_path, overrides):
+        # The overrides keyword is gone: a config is only ever a VoaConfig.
+        with pytest.raises(TypeError, match="'config_overrides'$"):
+            make_plan(functions=["booth"], config_overrides=overrides, out_dir=tmp_path)
+        with pytest.raises(ValueError, match="^config must be a VoaConfig, got "):
+            make_plan(functions=["booth"], config=overrides, out_dir=tmp_path)
+
     def test_default_plan_covers_the_full_grid(self, tmp_path):
         plan = make_plan(out_dir=tmp_path)
         assert len(plan.dimensions) == 7
