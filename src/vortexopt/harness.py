@@ -262,12 +262,18 @@ def summarize(reports: Iterable[RunReport]) -> list:
         if not bests:
             continue
         arr = np.asarray(bests, dtype=np.float64)
+        # np.median bit for bit, from a sort: like numpy's sum, start at
+        # +0.0 (so -0.0 comes out +0.0). Skipping np.median keeps its
+        # partition code out of this process's memory.
+        ordered, mid = sorted(bests), len(bests) // 2
+        median = (0.0 + ordered[mid] if len(bests) % 2
+                  else ((0.0 + ordered[mid - 1]) + ordered[mid]) / 2)
         rows.append(SummaryRow(
             function=key[0],
             dimension=key[1],
             n_seeds=len(bests),
             best=float(arr.min()),
-            median=float(np.median(arr)),
+            median=float(median),
             mean=float(arr.mean()),
             stddev=float(arr.std()),
             reference_value=REFERENCE_RESULTS[key][0] if key in REFERENCE_RESULTS else None,
