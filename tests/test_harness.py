@@ -1,10 +1,13 @@
+import contextlib
 import csv
 import dataclasses
 import functools
 import io
 import json
+import multiprocessing
 import pickle
 import re
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import MappingProxyType
 
@@ -28,6 +31,7 @@ from vortexopt import (
     write_reports,
 )
 from vortexopt.benchmarks import benchmark_names
+from vortexopt.cli import main
 from vortexopt.core import RandomSource
 from vortexopt.engine import RunReport, RunTrace
 from vortexopt.harness import (
@@ -342,6 +346,25 @@ class TestExecutePlan:
             assert a.evaluations == b.evaluations
             np.testing.assert_array_equal(a.best_position, b.best_position)
 
+    def test_a_spawned_pool_writes_the_bytes_of_one_job(self, tmp_path, monkeypatch):
+        # fork is Linux's default start method up to Python 3.13; spawn starts
+        # each worker from a fresh interpreter, as forkserver's workers are.
+        def write(name, jobs):
+            plan = small_plan(tmp_path, functions=["booth", "sphere"],
+                              config=VoaConfig(max_iterations=50), out_dir=tmp_path / name)
+            reports = execute_plan(plan, jobs=jobs)
+            write_reports(reports, summarize(reports), plan)
+            return {f: (tmp_path / name / f).read_text()
+                    for f in ("runs.csv", "summary.csv", "summary.json")}
+
+        sequential = write("jobs1", 1)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+        spawned = write("spawn", 2)
+        assert strip_wall_column(spawned.pop("runs.csv")) == \
+            strip_wall_column(sequential.pop("runs.csv"))
+        assert spawned == sequential
+
     def test_repeat_execution_writes_identical_bytes(self, tmp_path):
         plan_a = small_plan(tmp_path, out_dir=tmp_path / "a")
         plan_b = small_plan(tmp_path, out_dir=tmp_path / "b")
@@ -536,6 +559,44 @@ class TestSummarize:
         row = summarize(reports)[0]
         assert row.n_seeds == 1
         assert row.median == 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+        st.floats(min_value=1.6e308, allow_infinity=False),
+        st.floats(max_value=-1.6e308, allow_infinity=False),
+        st.sampled_from([-0.0, 0.0, 1.0])), min_size=1, max_size=41))
+    @example([-0.0])
+    @example([-0.0, -0.0, 0.0])
+    @example([1.7e308, 1.7e308])
+    @example([-1.7e308, -1.7e308, -1.7e308, 0.0])
+    def test_median_is_numpys_bit_for_bit(self, bests):
+        # Subnormals, ties, +-0.0 and middle pairs whose sum overflows to inf;
+        # np.median maps a median of -0.0 to +0.0, a plain sorted()[mid] does not.
+        reports = [fake_report("sphere", 2, seed, best) for seed, best in enumerate(bests)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = float(np.median(np.asarray(bests)))
+            row, = summarize(reports)
+        assert row.median.hex() == expected.hex()
+
+    def test_no_numpy_median_in_summarize_or_check(self, tmp_path, monkeypatch):
+        # np.median's first call pages numpy's partition code into the
+        # process that runs the plan, the one whose peak RSS the benchmark reads.
+        plan = small_plan(tmp_path, functions=["sphere"])
+        reports = execute_plan(plan, jobs=1)
+
+        def median(*args, **kwargs):
+            raise AssertionError("np.median called")
+
+        monkeypatch.setattr(np, "median", median)
+        write_reports(reports, summarize(reports), plan)
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = main(["check", "--out", str(plan.out_dir)])
+        assert code == 1  # judged, and failed only for its short, non-default config
+        assert stdout.getvalue() == (
+            "FAIL sphere d=2 median=3.744070e-18 reference=0.0000 rule: median <= 0.0001; "
+            "non-default config max_iterations=40\n")
 
     def test_groups_keep_report_order(self):
         reports = [fake_report("beale", 2, 1, 1.0), fake_report("booth", 2, 1, 2.0)]
