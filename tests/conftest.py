@@ -1,7 +1,7 @@
 """Subprocesses that the tests start import the package from this checkout.
 
-``pythonpath`` in pyproject.toml puts ``src`` on the test process's import
-path only; ``python -m vortexopt`` in a subprocess needs it in PYTHONPATH.
+``pythonpath`` in pyproject.toml puts ``src`` (and ``tools``, for the pairing
+tools' tests) on the test process's import path only; ``python -m vortexopt`` in a subprocess needs it in PYTHONPATH.
 """
 
 import os

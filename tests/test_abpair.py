@@ -1,14 +1,8 @@
 """The A/B timing tool's argument checks (``tools/abpair.py``)."""
 
-import importlib.util
-from pathlib import Path
-
+import abpair
+import gittree
 import pytest
-
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "abpair.py"
-_SPEC = importlib.util.spec_from_file_location("abpair", _PATH)
-abpair = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(abpair)
 
 
 @pytest.mark.parametrize("flag,value", [("--pairs", "0"), ("--iterations", "0"),
@@ -17,7 +11,7 @@ def test_a_count_below_1_exits_2_before_any_git_call(flag, value, monkeypatch, c
     def git(*args):
         raise AssertionError(f"git {' '.join(args)} called")
 
-    monkeypatch.setattr(abpair, "git", git)
+    monkeypatch.setattr(gittree, "git", git)
     with pytest.raises(SystemExit) as excinfo:
         abpair.main(["HEAD", "HEAD", flag, value])
     assert excinfo.value.code == 2

@@ -16,10 +16,8 @@ Python, numpy and CPU details and every per-pair time to a JSON file.
 import argparse
 import dataclasses
 import importlib.util
-import json
 import os
 import platform
-import subprocess
 import sys
 import tempfile
 import time
@@ -27,21 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parents[1]
+import gittree
+
 CELLS = (("booth", 2), ("sphere", 30), ("rosenbrock", 30))
-
-
-def git(*args) -> bytes:
-    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
-                          stdout=subprocess.PIPE).stdout
 
 
 def load(commit: str, name: str, work: Path):
     """Import ``commit``'s package from a ``git archive`` copy as module ``name``."""
-    (work / name).mkdir()
-    subprocess.run(["tar", "-x", "-C", str(work / name)], check=True,
-                   input=git("archive", commit, "src/vortexopt"))
-    package = work / name / "src" / "vortexopt"
+    package = gittree.extract(commit, work / name, "src/vortexopt") / "src" / "vortexopt"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py", submodule_search_locations=[str(package)])
     module = importlib.util.module_from_spec(spec)
@@ -125,7 +116,7 @@ def main(argv=None) -> int:
     for flag, value in (("--pairs", ns.pairs), ("--iterations", ns.iterations)):
         if value < 1:
             parser.error(f"{flag} must be at least 1, got {value}")
-    a, b = (git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip() for rev in ns.revs)
+    a, b = gittree.commits(ns.revs)
     env = environment()
     with tempfile.TemporaryDirectory() as work:
         sides = [runner(load(commit, name, Path(work)), ns.iterations)
@@ -138,12 +129,9 @@ def main(argv=None) -> int:
               f"{c['aa_interval']}  {c['verdict']}, "
               f"{'identical' if c['identical'] else 'DIFFERENT'} results")
     if ns.out is not None:
-        record = json.loads(ns.out.read_text()) if ns.out.exists() else {"comparisons": []}
-        kept = [c for c in record["comparisons"] if (c["a"], c["b"]) != (a, b)]
-        lines = ",\n".join(json.dumps(c) for c in kept + [{
+        gittree.add_comparison(ns.out, {
             "a": a, "b": b, "a_rev": ns.revs[0], "b_rev": ns.revs[1], "pairs": ns.pairs,
-            "iterations": ns.iterations, "environment": env, "cells": cells}])
-        ns.out.write_text('{"comparisons": [\n' + lines + "\n]}\n")
+            "iterations": ns.iterations, "environment": env, "cells": cells}, key=("a", "b"))
     return 0 if all(c["identical"] for c in cells) else 1
 
 

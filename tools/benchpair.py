@@ -1,17 +1,20 @@
 """Run the benchmark on two revisions in alternating pairs.
 
     python tools/benchpair.py REV_A REV_B --workload plan-2d [--seed 1] [--pairs 10]
-                              [--seconds 60] [--out FILE]
+                              [--out FILE]
 
 Each revision's tree comes from ``git archive`` into a directory of its own,
 and ``perfbench/run.py --trace 0`` runs there in a fresh interpreter, as it
-would in a clean checkout. Pair ``i`` (from 1) runs REV_A first when ``i`` is
-odd and REV_B first when it is even. For every end-to-end metric in
-``BENCHMARK.json`` it prints each side's median, the distance between the
-quartiles of REV_A's runs, and how many pairs REV_B won in the metric's
-better direction (ties count for neither). ``--out`` adds the comparison,
-with both sides' quartiles and every run's provenance and result lines as
-printed, to a JSON file. Exits 1 if any run was not correct.
+would in a clean checkout, for ``BENCHMARK.json``'s ``run_seconds``. Pair
+``i`` (from 1) runs REV_A first when ``i`` is odd and REV_B first when it is
+even. For every end-to-end metric in ``BENCHMARK.json`` it prints each side's
+median, the distance between the quartiles of REV_A's runs, and how many
+pairs REV_B won in the metric's better direction (ties count for neither).
+``--out`` adds the comparison, with both sides' quartiles and every run's
+provenance and result lines as printed, to a JSON file, replacing an earlier
+one of the same commits, workload and seed. A run that exits non-zero (it
+errored or was not correct) stops the tool with that run's revision, pair
+and status, and nothing is written.
 """
 
 import argparse
@@ -22,27 +25,21 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+import gittree
 
 
-def git(*args) -> bytes:
-    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
-                          stdout=subprocess.PIPE).stdout
+def bench(tree: Path, workload: str, seed: int, seconds: float, where: str) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``: its provenance and result lines.
 
-
-def checkout(commit: str, tree: Path) -> Path:
-    """Extract ``commit``'s tree from ``git archive`` into the new directory ``tree``."""
-    tree.mkdir()
-    subprocess.run(["tar", "-x", "-C", str(tree)], check=True, input=git("archive", commit))
-    return tree
-
-
-def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its provenance and result lines."""
+    Its standard error goes to the terminal; if it exits non-zero, so does
+    this tool, naming ``where`` (the revision and pair) and the status."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, check=False)
+        cwd=tree, stdout=subprocess.PIPE, text=True, check=False)
+    if proc.returncode != 0:
+        sys.exit(f"benchpair: perfbench/run.py exited with status {proc.returncode} "
+                 f"on {where}; nothing was written")
     provenance, result = proc.stdout.strip().splitlines()[-2:]
     return {"provenance": provenance, "result": result}
 
@@ -76,38 +73,38 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1, help="perfbench input seed (default 1)")
     parser.add_argument("--pairs", type=int, default=10, help="pairs of runs (default 10)")
-    parser.add_argument("--seconds", type=float, default=60.0, help="length of each run")
     parser.add_argument("--out", type=Path, help="JSON file to add the comparison to")
     ns = parser.parse_args(argv)
     if ns.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {ns.pairs}")
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    a, b = (git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip() for rev in ns.revs)
+    benchmark = json.loads((gittree.ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    a, b = gittree.commits(ns.revs)
     pairs = []
     with tempfile.TemporaryDirectory() as work:
         # One tree per side, so that REV REV is an A/A control on two copies.
-        trees = {side: checkout(commit, Path(work) / side) for side, commit in (("A", a), ("B", b))}
+        trees = {side: gittree.extract(commit, Path(work) / side)
+                 for side, commit in (("A", a), ("B", b))}
+        names = {"A": f"REV_A {ns.revs[0]} ({a[:7]})", "B": f"REV_B {ns.revs[1]} ({b[:7]})"}
         for i in range(1, ns.pairs + 1):
             order = "AB" if i % 2 else "BA"
-            runs = {side: bench(trees[side], ns.workload, ns.seed, ns.seconds) for side in order}
+            runs = {side: bench(trees[side], ns.workload, ns.seed, seconds,
+                                f"{names[side]} in pair {i}") for side in order}
             pairs.append([runs["A"], runs["B"]])
             print(f"pair {i} of {ns.pairs} done", file=sys.stderr)
-    summary = summarize(pairs, metrics)
-    print(f"{ns.workload} seed {ns.seed}, {ns.pairs} pairs of {ns.seconds:g} s runs; "
+    summary = summarize(pairs, benchmark["end_to_end"])
+    print(f"{ns.workload} seed {ns.seed}, {ns.pairs} pairs of {seconds:g} s runs; "
           f"A={ns.revs[0]} ({a[:7]}), B={ns.revs[1]} ({b[:7]})")
     for name, s in summary.items():
         print(f"{name:<12} A {s['a'][1]:.4g} (IQR {s['a_iqr']:.3g})  "
               f"B {s['b'][1]:.4g}  B better in {s['b_wins']}/{ns.pairs}")
-    correct = all(json.loads(run["result"])["correct"] for pair in pairs for run in pair)
     if ns.out is not None:
-        record = json.loads(ns.out.read_text()) if ns.out.exists() else {"comparisons": []}
-        lines = ",\n".join(json.dumps(c) for c in record["comparisons"] + [{
+        gittree.add_comparison(ns.out, {
             "a": a, "b": b, "a_rev": ns.revs[0], "b_rev": ns.revs[1],
-            "workload": ns.workload, "seed": ns.seed, "seconds": ns.seconds,
+            "workload": ns.workload, "seed": ns.seed, "seconds": seconds,
             "pairs": ns.pairs, "order": "A first in odd pairs", "summary": summary,
-            "runs": pairs}])
-        ns.out.write_text('{"comparisons": [\n' + lines + "\n]}\n")
-    return 0 if correct else 1
+            "runs": pairs}, key=("a", "b", "workload", "seed"))
+    return 0
 
 
 if __name__ == "__main__":
