@@ -3,26 +3,8 @@ minimizer, a seven-function benchmark suite, and a reproducible experiment
 harness with a CLI.
 """
 
-from .core import (
-    Objective,
-    RandomSource,
-    SwarmState,
-    VoaConfig,
-)
-from .engine import (
-    RunReport,
-    RunTrace,
-    advance_iteration,
-    eliminate_and_respawn,
-    initialize_swarm,
-    mark_vortices,
-    move_toward_best,
-    refresh_fitness_and_best,
-    run,
-    vorticity_decay,
-    vorticity_kick,
-    vorticity_pull,
-)
+from .core import Objective, RandomSource, VoaConfig
+from .engine import RunReport, RunTrace, run
 from .benchmarks import benchmark_names, get_objective, get_spec
 from .harness import (
     ExperimentPlan,
@@ -39,20 +21,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Objective",
     "RandomSource",
-    "SwarmState",
     "VoaConfig",
     "RunReport",
     "RunTrace",
-    "advance_iteration",
-    "eliminate_and_respawn",
-    "initialize_swarm",
-    "mark_vortices",
-    "move_toward_best",
-    "refresh_fitness_and_best",
     "run",
-    "vorticity_decay",
-    "vorticity_kick",
-    "vorticity_pull",
     "benchmark_names",
     "get_objective",
     "get_spec",

@@ -21,6 +21,16 @@ next draws j*d to j*d + d - 1 whatever its index, so candidates for every
 normal particle are peeked and evaluated with the moved swarm in one call;
 a cull places a prefix of them and consumes only their draws. The stream
 layout is the same as with one call per stage.
+
+The stage functions are engine internals, not package exports: ``run`` calls
+them through this module's globals, so a tool can wrap them from outside.
+Each takes the swarm's arrays as the engine holds them and checks nothing;
+input is checked where it enters, in ``VoaConfig`` and ``Objective``, and
+``initialize_swarm`` builds the arrays from them. When no cull can trigger,
+``advance_iteration`` passes a (0, d) candidate stack. The refresh can mark one
+more vortex, so a cull may leave the last candidate; its draws stay in the
+stream. ``SwarmState`` holds only the swarm and no counters: ``run`` derives
+``evaluations`` from its trace.
 """
 
 from __future__ import annotations

@@ -387,6 +387,9 @@ def write_trace(report: RunReport, trace_dir) -> Path:
     then each ``RunTrace`` field, reals in fixed scientific notation.
     """
     trace = report.trace
+    if trace is None:
+        raise ValueError(f"{report.function} d={report.dimension} seed={report.seed} has no "
+                         "trace: execute_plan's reports carry none, so pass a report from run")
     columns = [trace.iteration, *(getattr(trace, f.name) for f in fields(trace))]
     rows = zip(*(map(_sci, col.tolist()) if col.dtype.kind == "f"
                  else map(str, col.astype(np.int64).tolist()) for col in columns))

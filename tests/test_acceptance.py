@@ -20,19 +20,21 @@ from vortexopt import (
     VoaConfig,
     execute_plan,
     get_objective,
-    initialize_swarm,
     make_plan,
-    mark_vortices,
-    move_toward_best,
     run,
     summarize,
-    vorticity_decay,
-    vorticity_kick,
-    vorticity_pull,
     write_reports,
 )
 from vortexopt.benchmarks import benchmark_names, get_spec
 from vortexopt.core import RandomSource
+from vortexopt.engine import (
+    initialize_swarm,
+    mark_vortices,
+    move_toward_best,
+    vorticity_decay,
+    vorticity_kick,
+    vorticity_pull,
+)
 
 # sha256 of the full default plan's reports, runs.csv without its wall_time_ms
 # column; a change to these bytes must say why.

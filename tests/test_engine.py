@@ -7,19 +7,15 @@ import pytest
 import vortexopt.engine as engine
 from helpers import rowwise
 from oracles import splitmix64_units
-from vortexopt import (
-    Objective,
-    SwarmState,
-    VoaConfig,
+from vortexopt import Objective, VoaConfig, get_objective, run
+from vortexopt.core import RandomSource, SwarmState
+from vortexopt.engine import (
     advance_iteration,
     eliminate_and_respawn,
-    get_objective,
     initialize_swarm,
     mark_vortices,
     refresh_fitness_and_best,
-    run,
 )
-from vortexopt.core import RandomSource
 
 
 def make_state(positions, fitness, best_index, vorticity=None, is_vortex=None):

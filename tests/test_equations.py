@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vortexopt import move_toward_best, vorticity_decay, vorticity_kick, vorticity_pull
+from vortexopt.engine import move_toward_best, vorticity_decay, vorticity_kick, vorticity_pull
 
 V_MIN, V_MAX = -7.0, 7.0
 

@@ -23,3 +23,14 @@ def test_star_import_of_the_package():
     namespace = {}
     exec("from vortexopt import *", namespace)
     assert set(vortexopt.__all__) <= set(namespace)
+
+
+def test_the_package_exports_what_a_user_calls():
+    # The stage functions and SwarmState are engine internals, reached
+    # through vortexopt.engine and vortexopt.core.
+    assert sorted(vortexopt.__all__) == [
+        "ExperimentPlan", "Objective", "RandomSource", "RunReport", "RunTrace",
+        "SummaryRow", "VoaConfig", "__version__", "benchmark_names", "evaluate_checks",
+        "execute_plan", "get_objective", "get_spec", "make_plan", "run", "summarize",
+        "write_reports",
+    ]

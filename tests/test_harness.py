@@ -647,6 +647,16 @@ class TestWriteReports:
         assert trace.non_finite_evals.any()
         assert trace.eliminations_triggered.any() and not trace.eliminations_triggered.all()
 
+    def test_a_report_without_a_trace_is_rejected_by_name(self, tmp_path):
+        # execute_plan's reports and failed runs carry no trace.
+        [planned] = execute_plan(small_plan(tmp_path, functions=["booth"], seed_count=1),
+                                 jobs=1)
+        failed = fake_report("beale", 2, 7, float("nan"), error="RuntimeError: boom")
+        for report, name in ((planned, "booth d=2 seed=1"), (failed, "beale d=2 seed=7")):
+            with pytest.raises(ValueError, match=f"^{name} has no trace: .* from run$"):
+                write_trace(report, tmp_path)
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_summary_grid_shape_and_na(self, tmp_path):
         plan = small_plan(tmp_path)
         reports = execute_plan(plan, jobs=1)

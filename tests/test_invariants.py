@@ -6,18 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import run_with_invariant_checks
-from vortexopt import (
-    Objective,
-    SwarmState,
-    VoaConfig,
-    get_objective,
+from vortexopt import Objective, VoaConfig, get_objective
+from vortexopt.core import RandomSource, SwarmState
+from vortexopt.engine import (
     mark_vortices,
     move_toward_best,
     vorticity_decay,
     vorticity_kick,
     vorticity_pull,
 )
-from vortexopt.core import RandomSource
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
