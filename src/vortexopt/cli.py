@@ -1,15 +1,15 @@
 """Command-line harness: run experiment plans, check results, list benchmarks.
 
-A ``run``'s settings are its flags over the defaults. ``RUN_SETTINGS``
-declares each ``run`` setting once for the parser and the plan.
+A ``run``'s settings are its flags over the defaults. Each engine flag stores
+its value under the name of the ``VoaConfig`` field it sets.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
 
 from .benchmarks import REGISTRY, benchmark_names
 from .core import VoaConfig
@@ -33,38 +33,6 @@ from .harness import (
 _DEFAULT = VoaConfig()
 
 
-class Setting(NamedTuple):
-    """A ``run`` setting: its long flag; the parser of one text value; the
-    ``VoaConfig`` field it sets (None for a plan setting); its help, where
-    ``{default}`` stands for that field's default; and whether it takes a list
-    of values."""
-
-    flag: str
-    parse: Callable
-    field: Optional[str]
-    help: str
-    repeat: bool = False
-
-
-RUN_SETTINGS = {s.flag: s for s in (
-    Setting("function", str, None, "benchmark name (repeatable; default: all)", repeat=True),
-    Setting("dim", int, None, "dimension (repeatable; each function runs the listed "
-            "dimensions it supports; default: each function's grid)", repeat=True),
-    Setting("seeds", int, None, f"number of consecutive seeds (default {DEFAULT_SEED_COUNT})"),
-    Setting("base-seed", int, None, f"first seed (default {DEFAULT_BASE_SEED})"),
-    Setting("particles", int, "n_particles", "population size (default {default})"),
-    Setting("iterations", int, "max_iterations", "iteration budget (default {default})"),
-    Setting("init-vorticity", float, "initial_vorticity", "initial vorticity (default {default})"),
-    Setting("elimination", int, "elimination_threshold", "respawn all normal particles when "
-            "their count is at or below this (default: the population size)"),
-    Setting("target-fitness", float, "target_fitness",
-            "stop a run early once the best reaches this value"),
-    Setting("jobs", int, None, "parallel runs, at least 1 (default: usable CPUs)"),
-    Setting("out", str, None, f"output directory (default: {DEFAULT_OUT_DIR})"),
-    Setting("trace-dir", str, None, "also write per-run convergence traces here"),
-)}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vortexopt",
@@ -72,11 +40,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # An engine flag's dest is the VoaConfig field it sets, which plan_from_args reads.
     run_p = sub.add_parser("run", help="execute an experiment plan")
-    for s in RUN_SETTINGS.values():
-        default = getattr(_DEFAULT, s.field) if s.field else None
-        run_p.add_argument(f"--{s.flag}", action="append" if s.repeat else "store",
-                           type=s.parse, help=s.help.format(default=default))
+    run_p.add_argument("--function", action="append",
+                       help="benchmark name (repeatable; default: all)")
+    run_p.add_argument("--dim", action="append", type=int,
+                       help="dimension (repeatable; each function runs the listed "
+                       "dimensions it supports; default: each function's grid)")
+    run_p.add_argument("--seeds", type=int,
+                       help=f"number of consecutive seeds (default {DEFAULT_SEED_COUNT})")
+    run_p.add_argument("--base-seed", type=int, help=f"first seed (default {DEFAULT_BASE_SEED})")
+    run_p.add_argument("--particles", dest="n_particles", type=int,
+                       help=f"population size (default {_DEFAULT.n_particles})")
+    run_p.add_argument("--iterations", dest="max_iterations", type=int,
+                       help=f"iteration budget (default {_DEFAULT.max_iterations})")
+    run_p.add_argument("--init-vorticity", dest="initial_vorticity", type=float,
+                       help=f"initial vorticity (default {_DEFAULT.initial_vorticity})")
+    run_p.add_argument("--elimination", dest="elimination_threshold", type=int,
+                       help="respawn all normal particles when their count is at or "
+                       "below this (default: the population size)")
+    run_p.add_argument("--target-fitness", type=float,
+                       help="stop a run early once the best reaches this value")
+    run_p.add_argument("--jobs", type=int, help="parallel runs, at least 1 (default: usable CPUs)")
+    run_p.add_argument("--out", help=f"output directory (default: {DEFAULT_OUT_DIR})")
+    run_p.add_argument("--trace-dir", help="also write per-run convergence traces here")
 
     check_p = sub.add_parser("check", help="judge the plan in summary.json by the reference table")
     check_p.add_argument("--out", default=DEFAULT_OUT_DIR, help="directory containing runs.csv "
@@ -89,19 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
 def plan_from_args(ns) -> tuple:
     """Build (plan, jobs) from parsed run-subcommand arguments; the plan's ``VoaConfig``
     is built from the given flags only, so every other field keeps its default."""
-    values = {flag: getattr(ns, flag.replace("-", "_")) for flag in RUN_SETTINGS}
-    overrides = {s.field: values[s.flag] for s in RUN_SETTINGS.values()
-                 if s.field is not None and values[s.flag] is not None}
-    plan = make_plan(
-        functions=values["function"],
-        dims=values["dim"],
-        seed_count=values["seeds"],
-        base_seed=values["base-seed"],
-        config=VoaConfig(**overrides),
-        out_dir=values["out"],
-        trace_dir=values["trace-dir"],
-    )
-    return plan, values["jobs"]
+    config = VoaConfig(**{f.name: v for f in fields(VoaConfig)
+                          if f.init and (v := getattr(ns, f.name)) is not None})
+    plan = make_plan(functions=ns.function, dims=ns.dim, seed_count=ns.seeds,
+                     base_seed=ns.base_seed, config=config, out_dir=ns.out,
+                     trace_dir=ns.trace_dir)
+    return plan, ns.jobs
 
 
 def parse_plan(argv) -> tuple:

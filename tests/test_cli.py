@@ -14,7 +14,7 @@ from helpers import strip_wall_column
 from test_golden_reports import GOLDEN, RUN_ARGS, legacy_trace_view
 from test_harness import fake_report
 from vortexopt import VoaConfig
-from vortexopt.cli import RUN_SETTINGS, build_parser, main, parse_plan
+from vortexopt.cli import build_parser, main, parse_plan
 from vortexopt.harness import (
     REFERENCE_RESULTS,
     ExperimentPlan,
@@ -37,18 +37,19 @@ LIST_GOLDEN = (
     "rosenbrock         d>=2 (grid: 2, 5, 10, 20, 30) domain [-80, 80] per coordinate           minimum 0\n"
 )
 
-# One or more text values per run setting; repeatable settings take two.
+# One or more values per `run` flag, as the parser gives them back; repeatable
+# flags take two.
 SAMPLES = {
     "function": ["sphere", "booth"],
-    "dim": ["2", "5"],
-    "seeds": ["3"],
-    "base-seed": ["7"],
-    "particles": ["12"],
-    "iterations": ["40"],
-    "init-vorticity": ["0.25"],
-    "elimination": ["6"],
-    "target-fitness": ["1e-8"],
-    "jobs": ["2"],
+    "dim": [2, 5],
+    "seeds": [3],
+    "base-seed": [7],
+    "particles": [12],
+    "iterations": [40],
+    "init-vorticity": [0.25],
+    "elimination": [6],
+    "target-fitness": [1e-8],
+    "jobs": [2],
     "out": ["res"],
     "trace-dir": ["traces"],
 }
@@ -125,34 +126,34 @@ class TestParsePlan:
 
 
 class TestRunSettings:
-    def test_every_setting_has_a_sample(self):
-        assert set(SAMPLES) == set(RUN_SETTINGS)
-
-    @pytest.mark.parametrize("setting", RUN_SETTINGS.values(), ids=lambda s: s.flag)
-    def test_flag_and_file_key_parse_alike(self, setting):
-        # A saved `key = a, b` line is the flags `--key a --key b`.
-        texts = SAMPLES[setting.flag]
-        assert (len(texts) > 1) == setting.repeat
-        argv = ["run"] + [arg for text in texts for arg in (f"--{setting.flag}", text)]
-        from_flag = getattr(build_parser().parse_args(argv), setting.flag.replace("-", "_"))
-        parsed = [setting.parse(text) for text in texts]
-        assert from_flag == (parsed if setting.repeat else parsed[0])
+    @pytest.mark.parametrize("flag", SAMPLES)
+    def test_flag_and_file_key_parse_alike(self, flag):
+        # The flag sets one parsed value: a repeatable flag the list of its
+        # values, any other flag its one value, of the sample's type.
+        values = SAMPLES[flag]
+        argv = ["run"] + [arg for value in values for arg in (f"--{flag}", str(value))]
+        default, given = (vars(build_parser().parse_args(a)) for a in (["run"], argv))
+        (dest,) = [name for name in given if given[name] != default[name]]
+        parsed = given[dest] if len(values) > 1 else [given[dest]]
+        assert [(type(v), v) for v in parsed] == [(type(v), v) for v in values]
 
     def test_run_flags_are_exactly_the_settings(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--help"])
         flags = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
-        assert flags == set(RUN_SETTINGS) | {"help"}
+        assert flags == set(SAMPLES) | {"help"}
 
-    def test_draw_mode_flag_exits_2_naming_the_flag(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--draw-mode", "shared"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "unrecognized arguments: --draw-mode" in err
+    def test_help_states_the_config_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        default = VoaConfig()
+        for value in (default.n_particles, default.max_iterations, default.initial_vorticity):
+            assert f"(default {value})" in text
 
     @pytest.mark.parametrize("argv", [["--pull-epsilon", "1e-6"], ["--min-vorticity", "-2"],
-                                      ["--config", "exp.cfg"], ["--max-vorticity", "3"]])
+                                      ["--config", "exp.cfg"], ["--max-vorticity", "3"],
+                                      ["--draw-mode", "shared"]])
     def test_fixed_engine_constant_flag_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             parse_plan(argv)

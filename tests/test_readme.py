@@ -11,7 +11,9 @@ import re
 import shlex
 from pathlib import Path
 
-from vortexopt.cli import RUN_SETTINGS, parse_plan
+from test_cli import SAMPLES
+from vortexopt import VoaConfig
+from vortexopt.cli import parse_plan
 from vortexopt.harness import RUNS_HEADER
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -64,4 +66,8 @@ def test_documented_engine_parameters_are_the_config_settings():
     (paragraph,) = re.findall(r"^Engine parameters:.*?\n\n", text, flags=re.MULTILINE | re.DOTALL)
     documented = re.findall(r"`--([a-z][a-z-]*)", paragraph)
     assert len(documented) == len(set(documented))
-    assert set(documented) == {s.flag for s in RUN_SETTINGS.values() if s.field is not None}
+    assert set(documented) <= set(SAMPLES)
+    # A documented flag changes the config; every other `run` flag leaves it at the defaults.
+    for flag, values in SAMPLES.items():
+        config = parse_plan([arg for value in values for arg in (f"--{flag}", str(value))])[0].config
+        assert (config != VoaConfig()) == (flag in documented), flag
